@@ -28,6 +28,13 @@ For every store event on field ``F`` at age ``α`` covering region ``R``:
    (write-once ⇒ dispatch-once) and *every* fetch of ``K`` is complete
    for the resolved age/region.
 
+The runtime hands a run of consecutive store events on one (field, age)
+to :meth:`DependencyAnalyzer.on_store` as one call: step 1 and the
+whole-field part of step 3 run once per run, step 2 once per stored
+region.  Stores are announced only after they commit, so a fetch lying
+inside the stored region that produced its candidate is answered by one
+probe of that region rather than a probe of its own.
+
 Pending ages are pruned once every combination at current extents has
 been dispatched; any event that could make new combinations runnable
 (a store or resize) re-adds the age, so pruning never loses instances.
@@ -56,7 +63,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import SchedulerError
 from .events import InstanceDoneEvent, ResizeEvent, StoreEvent
-from .fields import FieldStore
+from .fields import Field, FieldStore
 from .kernels import FetchSpec, KernelDef, KernelInstance, StoreSpec
 from .program import Program
 from .scheduler import FusionDecision, decision_kernels
@@ -103,6 +110,40 @@ class _VersionView:
         for k in src:
             for s in k.stores:
                 self.producers.setdefault(s.field, []).append((k, s))
+
+
+class _StoredRegion:
+    """A region a store event committed, probed at most once.
+
+    A :class:`StoreEvent` is posted only after its region has committed,
+    and write-once makes a committed region immutable, so one
+    completeness probe of the stored region answers every candidate
+    fetch that lies inside it.  The probe is still made, not assumed
+    true: the age may have been garbage-collected since the store.
+    """
+
+    __slots__ = ("field", "age", "region", "_complete")
+
+    def __init__(self, field: Field, ev: StoreEvent) -> None:
+        self.field = field
+        self.age = ev.age
+        self.region = ev.region
+        self._complete: bool | None = None
+
+    def covers(self, field: Field, age, region: tuple) -> bool:
+        """Whether ``field[age][region]`` lies inside this region."""
+        if field is not self.field or age != self.age:
+            return False
+        return all(
+            s.start <= r.start and r.stop <= s.stop
+            for r, s in zip(region, self.region)
+        )
+
+    def complete(self) -> bool:
+        """Completeness of the stored region (probed once)."""
+        if self._complete is None:
+            self._complete = self.field.is_complete(self.age, self.region)
+        return self._complete
 
 
 class DependencyAnalyzer:
@@ -327,11 +368,26 @@ class DependencyAnalyzer:
         return out
 
     # ------------------------------------------------------------------
-    def on_store(self, ev: StoreEvent) -> list[KernelInstance]:
-        """React to a store event: dispatch every newly satisfiable instance."""
-        self.events_processed += 1
+    def on_store(self, *run: StoreEvent) -> list[KernelInstance]:
+        """React to store events: dispatch every newly satisfiable
+        instance.
+
+        ``run`` is one store event or a run of store events on the same
+        (field, age) — the runtime coalesces consecutive ones.  Age
+        solving, the whole-field pre-check and pruning happen once per
+        run; candidates are enumerated per stored region.  A candidate
+        fetch that lies inside the stored region that produced it is
+        satisfied by that region's single probe (see
+        :class:`_StoredRegion`) instead of a mask probe of its own.  A one-event run is exactly
+        the per-event analysis, and any split of a store sequence into
+        runs dispatches the same instance set.
+        """
+        ev = run[0]
+        self.events_processed += len(run)
         out: list[KernelInstance] = []
         base = self._views[0]
+        field = self.fields[ev.field]
+        stored = [_StoredRegion(field, e) for e in run]
         for v in self._views:
             for kernel, fetch in v.fetchers.get(ev.field, ()):
                 ages: list[int | None]
@@ -357,9 +413,15 @@ class DependencyAnalyzer:
                     if v is not base or not fetch.age.matches_literal(ev.age):
                         continue
                     ages = [None]
+                if fetch.vars():
+                    triggers = [
+                        (self._restrict_from_region(fetch, e), r)
+                        for e, r in zip(run, stored)
+                    ]
+                else:
+                    triggers = [(None, None)]
                 for age in ages:
-                    restrict = self._restrict_from_region(fetch, ev)
-                    out.extend(self._collect(kernel, age, restrict))
+                    out.extend(self._collect(kernel, age, triggers))
                     self._maybe_prune(kernel, age)
         return out
 
@@ -375,10 +437,10 @@ class DependencyAnalyzer:
                     for age in sorted(self._pending[kernel.name]):
                         if self._version_for_age(age) is not v:
                             continue
-                        out.extend(self._collect(kernel, age, None))
+                        out.extend(self._collect(kernel, age))
                         self._maybe_prune(kernel, age)
                 elif v is base:
-                    out.extend(self._collect(kernel, None, None))
+                    out.extend(self._collect(kernel, None))
         return out
 
     def on_done(self, ev: InstanceDoneEvent) -> list[KernelInstance]:
@@ -442,9 +504,17 @@ class DependencyAnalyzer:
         self,
         kernel: KernelDef,
         age: int | None,
-        restrict: Mapping[str, range] | None,
+        triggers: Sequence[
+            tuple[Mapping[str, range] | None, _StoredRegion | None]
+        ] = ((None, None),),
     ) -> list[KernelInstance]:
-        """Find every not-yet-dispatched, fully satisfied combination."""
+        """Find every not-yet-dispatched, fully satisfied combination.
+
+        ``triggers`` holds ``(restrict, stored)`` pairs: candidate
+        ranges for the restricted index variables (``None``: all
+        combinations) and the stored region that implied them
+        (``None``: every fetch is probed).
+        """
         # Cheap global pre-check: every variable-free fetch (whole-field)
         # must be complete; shared across all index combinations.
         for f in kernel.fetches:
@@ -456,51 +526,60 @@ class DependencyAnalyzer:
             if not self._covers_producers(f.field, f_age):
                 return []
         counts = kernel.index_counts(self._extent_of)
-        ranges = []
-        for v in kernel.index_vars:
-            n = counts.get(v, 0)
-            r = range(n)
-            if restrict and v in restrict:
-                rr = restrict[v]
-                r = range(max(0, rr.start), min(n, rr.stop))
-            if len(r) == 0:
-                return []
-            ranges.append(r)
+        full = [range(counts.get(v, 0)) for v in kernel.index_vars]
+        if any(len(r) == 0 for r in full):
+            return []
+        var_fetches = [
+            (f, f.age.resolve(age), self.fields[f.field])
+            for f in kernel.fetches
+            if f.vars()
+        ]
         out: list[KernelInstance] = []
-        var_fetches = [f for f in kernel.fetches if f.vars()]
-        for combo in itertools.product(*ranges):
-            inst = KernelInstance(kernel, age, combo)
-            if inst.key in self._dispatched:
-                continue
-            self.candidates_examined += 1
-            imap = dict(zip(kernel.index_vars, combo))
-            ok = True
-            for f in var_fetches:
-                f_age = f.age.resolve(age)
-                field = self.fields[f.field]
-                region = f.region(imap, field.extent)
-                empty_dims = [
-                    i for i, s in enumerate(region) if s.stop <= s.start
+        for restrict, stored in triggers:
+            ranges = full
+            if restrict:
+                ranges = [
+                    range(max(0, restrict[v].start),
+                          min(r.stop, restrict[v].stop))
+                    if v in restrict else r
+                    for v, r in zip(kernel.index_vars, full)
                 ]
-                if empty_dims:
-                    # A shrink-boundary stencil outside the extent is an
-                    # absent neighbour: trivially satisfied.  Any other
-                    # empty dimension means the combination is invalid.
-                    if all(
-                        not f.dims[i].is_all
-                        and f.dims[i].boundary == "shrink"
-                        for i in empty_dims
-                    ):
-                        continue
-                    ok = False
-                    break
-                if not field.is_complete(f_age, region):
-                    ok = False
-                    break
-            if ok:
-                self._dispatched.add(inst.key)
-                self._bump(kernel.name, age)
-                out.append(inst)
+            for combo in itertools.product(*ranges):
+                inst = KernelInstance(kernel, age, combo)
+                if inst.key in self._dispatched:
+                    continue
+                self.candidates_examined += 1
+                imap = dict(zip(kernel.index_vars, combo))
+                ok = True
+                for f, f_age, field in var_fetches:
+                    region = f.region(imap, field.extent)
+                    empty_dims = [
+                        d for d, s in enumerate(region) if s.stop <= s.start
+                    ]
+                    if empty_dims:
+                        # A shrink-boundary stencil outside the extent is
+                        # an absent neighbour: trivially satisfied.  Any
+                        # other empty dimension means the combination is
+                        # invalid.
+                        if all(
+                            not f.dims[d].is_all
+                            and f.dims[d].boundary == "shrink"
+                            for d in empty_dims
+                        ):
+                            continue
+                        ok = False
+                        break
+                    if stored is not None and stored.covers(field, f_age,
+                                                            region):
+                        ok = stored.complete()
+                    else:
+                        ok = field.is_complete(f_age, region)
+                    if not ok:
+                        break
+                if ok:
+                    self._dispatched.add(inst.key)
+                    self._bump(kernel.name, age)
+                    out.append(inst)
         return out
 
     def _covers_producers(self, field: str, f_age: int | None) -> bool:

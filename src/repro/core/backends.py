@@ -22,8 +22,9 @@ exactly where they were:
 * the **parent** owns segment lifecycle (creates each age's segment at
   dispatch time, before any worker could touch it; unlinks at GC and
   teardown) and all write-once bookkeeping — a worker's store report is
-  applied via :meth:`~repro.core.fields.Field.mark_written`, so
-  violations raise in the parent just like on the threads backend;
+  applied via the metadata-only :meth:`~repro.core.fields.Field.store_many`
+  commit, so violations raise in the parent just like on the threads
+  backend;
 * **workers** only read and write payload bytes through views attached
   by the deterministic :func:`~repro.core.fields.segment_name`, and
   ship out-of-band ``ctx.output`` values back for parent-side delivery.
@@ -673,14 +674,13 @@ class ProcessBackend(ExecutionBackend):
                 )
             raise WorkerProcessError(worker_id, f"{type_name}: {message}")
         _tag, stores, outputs, t_dispatch, t_kernel = reply
-        stored_any = False
+        events: list = []
         for fname, s_age, bounds in stores:
             region = tuple(slice(a, b) for a, b in bounds)
             # Payload bytes are already in the segment; apply write-once
             # enforcement + completeness metadata parent-side.
-            node.fields[fname].mark_written(s_age, region)
-            stored_any = True
-            node._post(StoreEvent(fname, s_age, region))
+            node.fields[fname].store_many(s_age, (region,))
+            events.append(StoreEvent(fname, s_age, region))
         for key, value in outputs:
             node._deliver_output(
                 kernel.name, inst.age, inst.index, key, value
@@ -724,14 +724,15 @@ class ProcessBackend(ExecutionBackend):
             )
             tr.complete("ipc", "phase", node.name, thread, t_send, t_recv,
                         {"ipc_us": round(ipc * 1e6, 1)})
-        node._post(
+        events.append(
             InstanceDoneEvent(
                 inst,
-                stored_any,
+                bool(stores),
                 kernel_time=t_kernel,
                 dispatch_time=dispatch,
             )
         )
+        node._post_many(events)
 
     def execute_batch(
         self, batch: list[KernelInstance], worker_id: int
@@ -739,9 +740,12 @@ class ProcessBackend(ExecutionBackend):
         """Ship a same-kernel/same-age run as ONE pipe message and one
         reply — the per-batch (not per-instance) IPC round-trip is the
         whole point of batched dispatch on this backend.  The parent
-        still applies per-instance write-once bookkeeping and posts
-        per-instance store/done events, so analyzer semantics (stream
-        credits, age retirement, quiescence) are unchanged."""
+        commits the batch's write-once metadata with one
+        :meth:`~repro.core.fields.Field.store_many` per (field, age) and
+        posts every store and done event in one
+        :meth:`~repro.core.runtime.ExecutionNode._post_many`; each
+        instance still gets its own events, so analyzer semantics
+        (stream credits, age retirement, quiescence) are unchanged."""
         if len(batch) == 1:
             self.execute(batch[0], worker_id)
             return
@@ -778,27 +782,22 @@ class ProcessBackend(ExecutionBackend):
                 worker_id, f"{type_name}: {message}"
             )
         _tag, results, t_dispatch, t_kernel = reply
-        # Commit write-once metadata in bulk — one lock acquisition per
-        # (field, age) instead of per store — *before* posting any
-        # StoreEvent, so the analyzer only ever observes completeness
-        # that is at least as advanced as the event it is handling.
+        # Commit write-once metadata in bulk — one commit per (field,
+        # age) — *before* posting any StoreEvent, so the analyzer only
+        # ever observes completeness that is at least as advanced as the
+        # event it is handling.  Events go out grouped the same way, so
+        # each group reaches the analyzer as one coalesced store run.
         grouped: dict[tuple[str, int], list[tuple]] = {}
-        events: list[StoreEvent] = []
-        stored_flags = []
         n_stores = 0
         for stores, _outputs in results:
-            stored_any = False
             for fname, s_age, bounds in stores:
                 region = tuple(slice(a, b) for a, b in bounds)
                 grouped.setdefault((fname, s_age), []).append(region)
-                events.append(StoreEvent(fname, s_age, region))
-                stored_any = True
             n_stores += len(stores)
-            stored_flags.append(stored_any)
+        events: list = []
         for (fname, s_age), regions in grouped.items():
-            node.fields[fname].mark_written_many(s_age, regions)
-        for ev in events:
-            node._post(ev)
+            node.fields[fname].store_many(s_age, regions)
+            events.extend(StoreEvent(fname, s_age, r) for r in regions)
         for inst, (_stores, outputs) in zip(batch, results):
             for key, value in outputs:
                 node._deliver_output(
@@ -837,15 +836,16 @@ class ProcessBackend(ExecutionBackend):
                 "ipc", "phase", node.name, thread, t_send, t_recv,
                 {"ipc_us": round(ipc * 1e6, 1)},
             )
-        for inst, stored_any in zip(batch, stored_flags):
-            node._post(
-                InstanceDoneEvent(
-                    inst,
-                    stored_any,
-                    kernel_time=t_kernel / n,
-                    dispatch_time=dispatch / n,
-                )
+        events.extend(
+            InstanceDoneEvent(
+                inst,
+                bool(stores),
+                kernel_time=t_kernel / n,
+                dispatch_time=dispatch / n,
             )
+            for inst, (stores, _outputs) in zip(batch, results)
+        )
+        node._post_many(events)
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:

@@ -394,21 +394,19 @@ class Field:
 
         Enforces write-once semantics; grows the field (implicit resize)
         when the index reaches past the current extent.  Returns a
-        :class:`ResizeInfo` when a resize occurred, else ``None``.
-
-        For fixed-shape fields the payload copy happens outside the lock
-        (legal stores touch disjoint elements); completeness only becomes
-        visible once the mask commits, so a consumer can never observe a
-        half-copied region.  Growable fields copy under the lock because
-        a concurrent resize swaps the backing array.
+        :class:`ResizeInfo` when a resize occurred, else ``None``.  A
+        one-region :meth:`store_many`.
         """
-        self._check_age(age)
-        idx = normalize_index(index, self.ndim)
+        return self.store_many(age, (index,), (value,))
+
+    def _coerce(self, value: Any, shape: tuple[int, ...]) -> np.ndarray:
+        """``value`` as this field's dtype, shaped to a store region.
+
+        Allows scalar broadcast into a unit region; otherwise shapes
+        must match exactly (trailing unit dims tolerated for 1-element
+        stores).
+        """
         arr = np.asarray(value, dtype=self.fdef.np_dtype)
-        shape = index_shape(idx)
-        count = math.prod(shape)
-        # Allow scalar broadcast into a unit region; otherwise shapes must
-        # match exactly (trailing unit dims tolerated for 1-element stores).
         if arr.shape != shape:
             try:
                 arr = np.broadcast_to(arr, shape)
@@ -417,85 +415,92 @@ class Field:
                     f"field {self.name!r}: value shape {arr.shape} does not "
                     f"match store region {shape}"
                 ) from None
-        fixed = self.fdef.shape is not None
+        return arr
+
+    def store_many(
+        self,
+        age: int,
+        regions: Sequence[Any],
+        values: Sequence[Any] | None = None,
+    ) -> ResizeInfo | None:
+        """Commit a batch of stores to one age: ``values[i]`` into
+        ``self[age][regions[i]]``.
+
+        One age check and two lock acquisitions per batch.  Write-once
+        stays per region: every region is checked against earlier
+        commits before any payload is copied, and re-checked as it
+        commits, so two overlapping regions of one batch still raise
+        :class:`WriteOnceViolation`.  A growable field grows once to
+        cover every region; the :class:`ResizeInfo` is returned, else
+        ``None``.
+
+        For fixed-shape fields the payload copy happens outside the lock
+        (legal stores touch disjoint elements); completeness only becomes
+        visible once the mask commits, so a consumer can never observe a
+        half-copied region.  Growable fields copy under the lock because
+        a concurrent resize swaps the backing array.
+
+        ``values=None`` is the metadata-only commit, the parent-process
+        half of the ``processes`` backend's store protocol: the worker
+        has already written the payload bytes into the shared-memory
+        segment, so only write-once enforcement, the completeness mask
+        and the counters are applied, and a region past the current
+        extent raises instead of growing the field.
+        """
+        self._check_age(age)
+        idxs = [normalize_index(r, self.ndim) for r in regions]
+        shapes = [index_shape(idx) for idx in idxs]
+        arrs = None
+        if values is not None:
+            if len(values) != len(idxs):
+                raise ExtentError(
+                    f"field {self.name!r}: {len(values)} values for "
+                    f"{len(idxs)} store regions"
+                )
+            arrs = [self._coerce(v, sh) for v, sh in zip(values, shapes)]
+        fixed = values is None or self.fdef.shape is not None
         with self._lock:
+            old = self._extent
+            needed = old
+            for idx in idxs:
+                needed = tuple(max(n, s.stop) for n, s in zip(needed, idx))
             resize = None
-            needed = tuple(
-                max(cur, s.stop) for cur, s in zip(self._extent, idx)
-            )
-            if needed != self._extent:
+            if needed != old:
                 if fixed:
-                    raise ExtentError(
-                        f"field {self.name!r}: store region {idx} exceeds "
-                        f"the declared shape {self.fdef.shape}"
+                    bad = next(
+                        idx for idx in idxs
+                        if any(s.stop > n for s, n in zip(idx, old))
                     )
-                old = self._extent
+                    limit = (
+                        f"extent {old}" if self.fdef.shape is None
+                        else f"the declared shape {self.fdef.shape}"
+                    )
+                    raise ExtentError(
+                        f"field {self.name!r}: store region {bad} "
+                        f"exceeds {limit}"
+                    )
                 self._extent = needed
                 resize = ResizeInfo(self.name, old, needed)
             slot = self._slot(age, create=True)
             assert slot is not None
-            region = slot.written[idx]
-            if region.any():
-                self._raise_write_once(age, idx, region)
-            if not fixed:
-                # Growable: a concurrent resize may swap slot.data, so the
-                # copy must stay inside the critical section.
-                slot.data[idx] = arr
-        if fixed:
-            slot.data[idx] = arr
+            if arrs is not None:
+                for idx in idxs:
+                    region = slot.written[idx]
+                    if region.any():
+                        self._raise_write_once(age, idx, region)
+                if not fixed:
+                    # Growable: a concurrent resize may swap slot.data, so
+                    # the copy must stay inside the critical section.
+                    for idx, arr in zip(idxs, arrs):
+                        slot.data[idx] = arr
+        if arrs is not None and fixed:
+            data = slot.data
+            for idx, arr in zip(idxs, arrs):
+                data[idx] = arr
         with self._lock:
-            self._commit_written(age, slot, idx, count)
-            return resize
-
-    def mark_written(self, age: int, index: Any) -> None:
-        """Metadata-only store: record that a region was written without
-        copying any payload.
-
-        This is the parent-process half of the ``processes`` execution
-        backend's store protocol — the worker has already written the
-        payload bytes directly into the shared-memory segment; the parent
-        applies write-once enforcement, the completeness mask and the
-        counters when the worker's store report arrives.
-        """
-        self._check_age(age)
-        idx = normalize_index(index, self.ndim)
-        if any(s.stop > n for s, n in zip(idx, self._extent)):
-            raise ExtentError(
-                f"field {self.name!r}: store region {idx} exceeds "
-                f"extent {self._extent}"
-            )
-        count = math.prod(index_shape(idx))
-        with self._lock:
-            slot = self._slot(age, create=True)
-            assert slot is not None
-            self._commit_written(age, slot, idx, count)
-
-    def mark_written_many(
-        self, age: int, regions: Sequence[Any]
-    ) -> None:
-        """Batched :meth:`mark_written` — one age check, one lock
-        acquisition and one slot resolution for a whole run of store
-        reports (the parent-side half of batched dispatch on the
-        ``processes`` backend, where one worker reply carries every
-        store of a same-kernel batch).  Write-once enforcement stays
-        per region."""
-        self._check_age(age)
-        idxs = []
-        for index in regions:
-            idx = normalize_index(index, self.ndim)
-            if any(s.stop > n for s, n in zip(idx, self._extent)):
-                raise ExtentError(
-                    f"field {self.name!r}: store region {idx} exceeds "
-                    f"extent {self._extent}"
-                )
-            idxs.append(idx)
-        with self._lock:
-            slot = self._slot(age, create=True)
-            assert slot is not None
-            for idx in idxs:
-                self._commit_written(
-                    age, slot, idx, math.prod(index_shape(idx))
-                )
+            for idx, shape in zip(idxs, shapes):
+                self._commit_written(age, slot, idx, math.prod(shape))
+        return resize
 
     # ------------------------------------------------------------------
     # Fetches and completeness

@@ -813,6 +813,7 @@ class ExecutionNode:
             raise KernelBodyError(kernel.name, inst.age, inst.index, exc)
         t2 = time.perf_counter()
         stored_any = False
+        events: list[Event] = []
         for s in kernel.stores:
             if s.emit_key not in ctx.emitted:
                 continue
@@ -823,33 +824,29 @@ class ExecutionNode:
                 value, field.fdef.np_dtype, field.ndim, s
             )
             region = spec.region(imap, arr.shape)
-            if self.recover and field.is_complete(s_age, region):
-                # The dead predecessor already committed this region with
-                # identical bytes (write-once determinism); skip the
-                # payload write but re-announce the store so consumers
-                # that missed the original delivery become runnable.
-                stored_any = True
-                self._post(StoreEvent(s.field, s_age, region))
-                continue
-            try:
-                resize = field.store(s_age, region, arr)
-            except WriteOnceViolation:
-                if not self.recover:
-                    raise
-                # Recovery dispatches the dead node's in-flight work twice
-                # on purpose (direct re-enqueue + replay-driven analyzer
-                # rediscovery); when both copies run concurrently the
-                # completeness check above races the other copy's commit.
-                # Losing that race is the skip case arriving late: the
-                # winner wrote the same bytes.
-                stored_any = True
-                self._post(StoreEvent(s.field, s_age, region))
-                continue
             stored_any = True
+            resize = None
+            # On a recover node, a region the dead predecessor already
+            # committed (identical bytes, by write-once determinism) is
+            # not rewritten but still re-announced, so consumers that
+            # missed the original delivery become runnable.
+            if not (self.recover and field.is_complete(s_age, region)):
+                try:
+                    resize = field.store(s_age, region, arr)
+                except WriteOnceViolation:
+                    if not self.recover:
+                        raise
+                    # Recovery dispatches the dead node's in-flight work
+                    # twice on purpose (direct re-enqueue + replay-driven
+                    # analyzer rediscovery); when both copies run
+                    # concurrently the completeness check above races the
+                    # other copy's commit.  Losing that race is the skip
+                    # case arriving late: the winner wrote the same bytes.
+                    pass
             if resize is not None:
-                self._post(ResizeEvent(s.field, resize.old_extent,
-                                       resize.new_extent))
-            self._post(StoreEvent(s.field, s_age, region))
+                events.append(ResizeEvent(s.field, resize.old_extent,
+                                          resize.new_extent))
+            events.append(StoreEvent(s.field, s_age, region))
         for key, value in ctx.outputs:
             self._deliver_output(kernel.name, inst.age, inst.index,
                                  key, value)
@@ -861,18 +858,19 @@ class ExecutionNode:
         tl = self._timeline
         if tl is not None and inst.age is not None:
             sess = self.session_of(inst) if self.session_of else ""
-            tl.span(sess, inst.age, "store", t0, t1)
+            tl.span(sess, inst.age, "fetch", t0, t1)
             tl.span(sess, inst.age, "compute", t1, t2)
             tl.span(sess, inst.age, "store", t2, t3)
         tr = self.tracer
         if tr.enabled:
             self._trace_instance(inst, worker_id, t0, t1, t2, t3)
-        self._post(
+        events.append(
             InstanceDoneEvent(
                 inst, stored_any, kernel_time=t2 - t1,
                 dispatch_time=(t1 - t0) + (t3 - t2),
             )
         )
+        self._post_many(events)
 
     def _account_instance(self, n_fetches: int, n_stores: int) -> None:
         """Per-instance metric counters (both execution backends)."""
@@ -904,9 +902,18 @@ class ExecutionNode:
         no ``batch_body``, ragged trailing regions, a runtime
         :class:`~repro.core.vectorize.VectorizeFallback` — run through
         the scalar body per instance with one pooled
-        :class:`KernelContext`.  Either way every instance still posts
-        its own store/done events, so the analyzer, stream credits and
-        age retirement observe exactly the per-instance event stream.
+        :class:`KernelContext`.
+
+        The vectorized path commits each stored (field, age) with one
+        :meth:`~repro.core.fields.Field.store_many` and posts the whole
+        batch's events with one :meth:`_post_many`; the scalar path does
+        the same per instance.  Every instance still gets its own
+        :class:`StoreEvent` per store and its own
+        :class:`InstanceDoneEvent`, so stream credits and age retirement
+        observe exactly the per-instance event stream, and a
+        :class:`StoreEvent` is posted only after its region has
+        committed — the analyzer's one-probe-per-store-run rule relies
+        on that (see :meth:`DependencyAnalyzer.on_store`).
         """
         kernel = batch[0].kernel
         if len(batch) > 1 and kernel.batch_body is not None:
@@ -964,37 +971,55 @@ class ExecutionNode:
                 kernel.name, age, batch[0].index, exc
             )
         t2 = time.perf_counter()
-        stored = [False] * n
+        stored_any = False
+        events: list[Event] = []
         for s in kernel.stores:
             if s.emit_key not in bctx.emitted:
                 continue
             values = bctx.emitted[s.emit_key]
             field = self.fields[s.field]
             s_age = s.age.resolve(age)
+            stored_any = True
+            if not self.recover:
+                # The batch contract (BatchKernelContext.emit) guarantees
+                # a uniform leading batch axis, so dtype coercion and
+                # spec resolution happen once for the stack, as in the
+                # processes backend's workers.
+                first, spec = coerce_store_value(
+                    values[0], field.fdef.np_dtype, field.ndim, s
+                )
+                shape = first.shape
+                stack = np.asarray(values, dtype=field.fdef.np_dtype)
+                regions = [spec.region(imap, shape) for imap in imaps]
+                resize = field.store_many(
+                    s_age, regions, stack.reshape((n,) + shape)
+                )
+                if resize is not None:
+                    events.append(ResizeEvent(s.field, resize.old_extent,
+                                              resize.new_extent))
+                events.extend(StoreEvent(s.field, s_age, r) for r in regions)
+                continue
             for i, imap in enumerate(imaps):
                 arr, spec = coerce_store_value(
                     values[i], field.fdef.np_dtype, field.ndim, s
                 )
                 region = spec.region(imap, arr.shape)
-                stored[i] = True
-                if self.recover and field.is_complete(s_age, region):
-                    self._post(StoreEvent(s.field, s_age, region))
+                if field.is_complete(s_age, region):
+                    events.append(StoreEvent(s.field, s_age, region))
                     continue
                 try:
                     resize = field.store(s_age, region, arr)
                 except WriteOnceViolation:
-                    if not self.recover:
-                        raise
                     # Same race as the scalar path: the duplicate copy of
                     # this instance committed between the completeness
                     # check and our store — identical bytes, announce and
                     # move on.
-                    self._post(StoreEvent(s.field, s_age, region))
+                    events.append(StoreEvent(s.field, s_age, region))
                     continue
                 if resize is not None:
-                    self._post(ResizeEvent(s.field, resize.old_extent,
-                                           resize.new_extent))
-                self._post(StoreEvent(s.field, s_age, region))
+                    events.append(ResizeEvent(s.field, resize.old_extent,
+                                              resize.new_extent))
+                events.append(StoreEvent(s.field, s_age, region))
         t3 = time.perf_counter()
         dispatch = (t1 - t0) + (t3 - t2)
         kernel_time = t2 - t1
@@ -1007,7 +1032,7 @@ class ExecutionNode:
         tl = self._timeline
         if tl is not None and age is not None:
             sess = self.session_of(batch[0]) if self.session_of else ""
-            tl.span(sess, age, "store", t0, t1)
+            tl.span(sess, age, "fetch", t0, t1)
             tl.span(sess, age, "compute", t1, t2)
             tl.span(sess, age, "store", t2, t3)
         if self._trace_on:
@@ -1023,13 +1048,14 @@ class ExecutionNode:
                     "queue_wait_us": round(wait * 1e6, 1),
                 },
             )
-        for i, inst in enumerate(batch):
-            self._post(
-                InstanceDoneEvent(
-                    inst, stored[i], kernel_time=kernel_time / n,
-                    dispatch_time=dispatch / n,
-                )
+        events.extend(
+            InstanceDoneEvent(
+                inst, stored_any, kernel_time=kernel_time / n,
+                dispatch_time=dispatch / n,
             )
+            for inst in batch
+        )
+        self._post_many(events)
         return True
 
     def _trace_instance(
@@ -1154,13 +1180,18 @@ class ExecutionNode:
     # ------------------------------------------------------------------
     # Analyzer side
     # ------------------------------------------------------------------
-    def _post(self, ev: Event) -> None:
-        self._inc()
-        self._events.put(ev)
-        if self.on_event is not None and isinstance(
-            ev, (StoreEvent, ResizeEvent)
-        ):
-            self.on_event(self, ev)
+    def _post_many(self, events: list) -> None:
+        """Queue one dispatch's events for the analyzer, in order, with
+        one counter update for all of them.  :attr:`on_event` still sees
+        every store/resize event, so the cluster transport and the
+        replay log observe exactly the per-event stream."""
+        self._counter.inc(len(events))
+        put = self._events.put
+        tap = self.on_event
+        for ev in events:
+            put(ev)
+            if tap is not None and isinstance(ev, (StoreEvent, ResizeEvent)):
+                tap(self, ev)
 
     def _dispatch(self, instances) -> None:
         n = 0
@@ -1174,55 +1205,100 @@ class ExecutionNode:
                 args={"count": n},
             )
 
-    def _retire_event(self, ev: Event) -> None:
-        """Retire one queued event's outstanding-work unit.
+    def _retire_events(self, events) -> None:
+        """Retire queued events' outstanding-work units, one by one.
 
         Token-carrying events (replan swaps) release their own
         :class:`~repro.core.events.WorkToken`; everything else retires
-        the generic per-event count.
+        the generic per-event count.  A :class:`ShutdownEvent` holds no
+        unit.
         """
-        token = getattr(ev, "token", None)
-        if token is not None:
-            token.release()
-        else:
-            self._dec()
+        for ev in events:
+            token = getattr(ev, "token", None)
+            if token is not None:
+                token.release()
+            elif not isinstance(ev, ShutdownEvent):
+                self._dec()
 
     def _analyzer_loop(self) -> None:
-        while True:
-            ev = self._events.get()
-            if isinstance(ev, ShutdownEvent):
-                return
-            t0 = time.perf_counter()
-            try:
-                if isinstance(ev, StoreEvent):
-                    self._dispatch(self.analyzer.on_store(ev))
-                elif isinstance(ev, ResizeEvent):
-                    self._dispatch(self.analyzer.on_resize(ev))
-                elif isinstance(ev, InstanceDoneEvent):
-                    self._dispatch(self.analyzer.on_done(ev))
-                    if self.gc_fields:
-                        self._collect_garbage()
-                elif isinstance(ev, ReplanEvent):
-                    self._handle_replan(ev)
-            except BaseException as exc:  # noqa: BLE001
-                self._error = exc
-                self._stop.set()
-                self._counter.poke()
-                return
-            finally:
-                t1 = time.perf_counter()
-                self.instrumentation.add_analyzer_time(t1 - t0)
-                tr = self.tracer
-                if tr.enabled:
-                    args = None
-                    if isinstance(ev, StoreEvent):
-                        args = {"field": ev.field, "age": ev.age}
-                    elif isinstance(ev, ResizeEvent):
-                        args = {"field": ev.field}
-                    tr.complete(type(ev).__name__, "analyzer",
-                                self.name, "analyzer", t0, t1, args)
-                self._retire_event(ev)
+        """Analyze queued events until a :class:`ShutdownEvent` or an
+        error.
 
+        Each wake-up takes everything currently queued.  A run of
+        consecutive :class:`StoreEvent`s on the same (field, age) goes
+        to :meth:`DependencyAnalyzer.on_store` as ONE call, so the
+        per-call work (age solving, whole-field pre-checks, pruning,
+        the stored-region probe) is paid once per run, not per event;
+        every other event is analyzed on its own.  Each event retires
+        its own work unit after its run is analyzed.  Events buffered
+        behind a shutdown or an error are retired before the loop
+        returns, so :meth:`wind_down` leaves the counter balanced.
+        """
+        get, get_nowait = self._events.get, self._events.get_nowait
+        while True:
+            buf = [get()]
+            try:
+                while True:
+                    buf.append(get_nowait())
+            except queue.Empty:
+                pass
+            i, n = 0, len(buf)
+            while i < n:
+                ev = buf[i]
+                if isinstance(ev, ShutdownEvent):
+                    self._retire_events(buf[i + 1:])
+                    return
+                j = i + 1
+                if isinstance(ev, StoreEvent):
+                    while (
+                        j < n
+                        and isinstance(buf[j], StoreEvent)
+                        and buf[j].field == ev.field
+                        and buf[j].age == ev.age
+                    ):
+                        j += 1
+                if not self._analyze(buf[i:j]):
+                    self._retire_events(buf[j:])
+                    return
+                i = j
+
+    def _analyze(self, run: list) -> bool:
+        """Analyze one event, or one coalesced store run, and retire
+        its events; ``False`` when analysis failed (the run is then
+        stopped with the error recorded)."""
+        ev = run[0]
+        t0 = time.perf_counter()
+        try:
+            if isinstance(ev, StoreEvent):
+                self._dispatch(self.analyzer.on_store(*run))
+            elif isinstance(ev, ResizeEvent):
+                self._dispatch(self.analyzer.on_resize(ev))
+            elif isinstance(ev, InstanceDoneEvent):
+                self._dispatch(self.analyzer.on_done(ev))
+                if self.gc_fields:
+                    self._collect_garbage()
+            elif isinstance(ev, ReplanEvent):
+                self._handle_replan(ev)
+        except BaseException as exc:  # noqa: BLE001
+            self._error = exc
+            self._stop.set()
+            self._counter.poke()
+            return False
+        finally:
+            t1 = time.perf_counter()
+            self.instrumentation.add_analyzer_time(t1 - t0)
+            tr = self.tracer
+            if tr.enabled:
+                args = None
+                if isinstance(ev, StoreEvent):
+                    args = {"field": ev.field, "age": ev.age,
+                            "count": len(run)}
+                elif isinstance(ev, ResizeEvent):
+                    args = {"field": ev.field}
+                tr.complete(type(ev).__name__, "analyzer",
+                            self.name, "analyzer", t0, t1, args)
+            self._retire_events(run)
+        return True
     def _handle_replan(self, ev: ReplanEvent) -> None:
         """Apply a queued re-binding on the analyzer thread.
 
@@ -1374,8 +1450,7 @@ class ExecutionNode:
                 ev = self._events.get_nowait()
             except queue.Empty:
                 break
-            if not isinstance(ev, ShutdownEvent):
-                self._retire_event(ev)
+            self._retire_events((ev,))
         # Shm hygiene: a wound-down node that *owns* its shared store has
         # no join() coming to unlink the segment names — release here or
         # they outlive the process in /dev/shm.  Cluster nodes share an

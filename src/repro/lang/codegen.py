@@ -12,7 +12,8 @@ with this environment:
   instances (array locals) or 0 (scalar locals);
 * timers bound by name to :class:`~repro.core.Timer` objects;
 * intrinsics ``put``/``get``/``extent`` (figure 5/6) plus ``np`` and
-  ``math``;
+  ``math``, and a ``print`` that writes each line whole, so lines
+  printed by concurrently running instances never interleave;
 * any extra ``bindings`` the embedder passes to ``compile_program``
   (how programs reach host objects such as output sinks).
 
@@ -24,7 +25,9 @@ the store (end-of-stream / deadline-miss alternate paths).
 from __future__ import annotations
 
 import math
+import sys
 import textwrap
+import threading
 from typing import Any, Mapping
 
 import numpy as np
@@ -67,10 +70,26 @@ def extent(source: Any, dim: int = 0) -> int:
     return np.asarray(source).shape[dim]
 
 
+_PRINT_LOCK = threading.Lock()
+
+
+def _print(*args: Any, sep: str = " ", end: str = "\n", file=None,
+           flush: bool = False) -> None:
+    """The builtin ``print``, but one locked write per call: the builtin
+    writes each argument separately, so two kernel instances printing
+    on different worker threads could interleave their lines."""
+    out = sys.stdout if file is None else file
+    with _PRINT_LOCK:
+        out.write(sep.join(map(str, args)) + end)
+        if flush:
+            out.flush()
+
+
 _INTRINSICS: dict[str, Any] = {
     "put": put,
     "get": get,
     "extent": extent,
+    "print": _print,
     "np": np,
     "math": math,
     "LocalField": LocalField,

@@ -46,12 +46,14 @@ __all__ = [
 
 #: Attribution buckets, highest critical-path priority first.  When
 #: spans overlap, an instant belongs to the earliest bucket here that
-#: covers it: actual kernel compute dominates, store commits beat the
-#: IPC round trip that contains them, transport hops beat the gate
-#: wait they overlap, and queue wait is charged only when nothing else
-#: explains the time.  ``other`` is the uncovered remainder.
+#: covers it: actual kernel compute dominates, store commits and then
+#: input fetches beat the IPC round trip that contains them, transport
+#: hops beat the gate wait they overlap, and queue wait is charged only
+#: when nothing else explains the time.  ``other`` is the uncovered
+#: remainder.
 BUCKETS: tuple[str, ...] = (
-    "compute", "store", "ipc", "transport", "gate", "queue", "other",
+    "compute", "store", "fetch", "ipc", "transport", "gate", "queue",
+    "other",
 )
 
 _PRIORITY = {name: i for i, name in enumerate(BUCKETS)}

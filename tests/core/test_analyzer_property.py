@@ -132,3 +132,123 @@ class TestPermutationInvariance:
             if max(0, x - 1) in subset and min(n - 1, x + 1) in subset
         }
         assert stencil == expected
+
+
+def make_run_program(n: int):
+    """Consumers of every fetch shape a store run can satisfy: blocks,
+    clamped and shrinking stencils, and multi-fetch kernels across two
+    fields and two ages."""
+    block = KernelDef(
+        "block", nop, has_age=True, index_vars=("b",),
+        fetches=(FetchSpec("v", "data", dims=(Dim.of("b", 4),)),),
+    )
+    clamp = KernelDef(
+        "clamp", nop, has_age=True, index_vars=("x",),
+        fetches=(
+            FetchSpec("l", "data", dims=(Dim.of("x", offset=-1),),
+                      scalar=True),
+            FetchSpec("r", "data", dims=(Dim.of("x", offset=1),),
+                      scalar=True),
+        ),
+    )
+    shrink = KernelDef(
+        "shrink", nop, has_age=True, index_vars=("x",),
+        fetches=(FetchSpec(
+            "w", "data",
+            dims=(Dim.of("x", 3, offset=-1, boundary="shrink"),),
+        ),),
+    )
+    pair = KernelDef(
+        "pair", nop, has_age=True, index_vars=("x",),
+        fetches=(
+            FetchSpec("d", "data", dims=(Dim.of("x", 2),)),
+            FetchSpec("o", "other", dims=(Dim.of("x", 2),)),
+        ),
+    )
+    prev = KernelDef(
+        "prev", nop, has_age=True, index_vars=("x",),
+        fetches=(
+            FetchSpec("now", "data", dims=(Dim.of("x"),), scalar=True),
+            FetchSpec("was", "data", age=AgeExpr.var(-1),
+                      dims=(Dim.of("x"),), scalar=True),
+        ),
+    )
+    return Program.build(
+        [FieldDef("data", "int64", 1, shape=(n,)),
+         FieldDef("other", "int64", 1, shape=(n,))],
+        [block, clamp, shrink, pair, prev],
+    )
+
+
+def analyze_runs(program, runs):
+    """Commit each run's stores, then hand the run to ``on_store`` as
+    one call (the runtime's order: a store is announced only after it
+    commits); returns the dispatched instance keys."""
+    fields = FieldStore(program.fields.values())
+    an = DependencyAnalyzer(program, fields)
+    dispatched = set()
+    for run in runs:
+        for name, age, sl in run:
+            fields[name].store(age, sl, np.arange(sl.start, sl.stop))
+        events = [StoreEvent(name, age, (sl,)) for name, age, sl in run]
+        for inst in an.on_store(*events):
+            assert inst.key not in dispatched, "double dispatch"
+            dispatched.add(inst.key)
+    return dispatched
+
+
+class TestStoreRuns:
+    @given(st.integers(3, 12), st.integers(1, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_runs_dispatch_what_single_events_dispatch(self, n, ages, data):
+        stores = []
+        for name in ("data", "other"):
+            for age in range(ages):
+                cuts = sorted(data.draw(st.sets(st.integers(1, n - 1))))
+                bounds = [0, *cuts, n]
+                stores += [
+                    (name, age, slice(lo, hi))
+                    for lo, hi in zip(bounds, bounds[1:])
+                ]
+        order = data.draw(st.permutations(stores))
+        merge = data.draw(
+            st.lists(st.booleans(), min_size=len(order),
+                     max_size=len(order))
+        )
+        runs = [[order[0]]]
+        for op, joined in zip(order[1:], merge):
+            if joined and op[:2] == runs[-1][-1][:2]:
+                runs[-1].append(op)
+            else:
+                runs.append([op])
+        single = analyze_runs(make_run_program(n), [[op] for op in order])
+        coalesced = analyze_runs(make_run_program(n), runs)
+        assert coalesced == single
+        # Everything is stored, so every consumer's whole domain fired.
+        blocks = -(-n // 4) * ages
+        assert sum(k[0] == "block" for k in single) == blocks
+        assert sum(k[0] == "prev" for k in single) == n * (ages - 1)
+
+    def test_whole_plane_store_probes_once(self, monkeypatch):
+        """A whole-plane store to MJPEG's ``y_input`` satisfies all
+        1,584 CIF ``ydct`` candidates with one completeness probe."""
+        from repro.core.fields import Field
+        from repro.workloads import build_mjpeg
+
+        program, _ = build_mjpeg(frames=[], vectorize=False)
+        fields = FieldStore(program.fields.values())
+        region = tuple(slice(0, n) for n in fields["y_input"].extent)
+        fields["y_input"].store(0, region, 0)
+        an = DependencyAnalyzer(program, fields)
+        probes = []
+        orig = Field.is_complete
+
+        def counting(self, age, index=None):
+            probes.append((self.name, age))
+            return orig(self, age, index)
+
+        monkeypatch.setattr(Field, "is_complete", counting)
+        ready = an.on_store(StoreEvent("y_input", 0, region))
+        assert len(ready) == (288 // 8) * (352 // 8) == 1584
+        assert {k.kernel.name for k in ready} == {"ydct"}
+        assert len(probes) <= 1

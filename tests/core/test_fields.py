@@ -253,6 +253,123 @@ class TestGarbageCollection:
         assert f.ages() == [1]
 
 
+class TestStoreMany:
+    def test_commits_every_region(self):
+        f = make(shape=(6,))
+        assert f.store_many(0, [slice(0, 2), 2, slice(3, 6)],
+                            [[1, 2], 3, [4, 5, 6]]) is None
+        assert f.fetch(0).tolist() == [1, 2, 3, 4, 5, 6]
+        assert f.written_count(0) == 6
+        assert f.max_stored_age == 0
+
+    def test_growable_field_grows_once(self):
+        f = make()
+        info = f.store_many(1, [slice(0, 2), slice(2, 5)],
+                            [[1, 2], [3, 4, 5]])
+        assert (info.old_extent, info.new_extent) == ((0,), (5,))
+        assert f.fetch(1).tolist() == [1, 2, 3, 4, 5]
+
+    def test_overlap_inside_batch_raises(self):
+        f = make(shape=(8,))
+        with pytest.raises(WriteOnceViolation) as e:
+            f.store_many(0, [slice(0, 3), slice(2, 4)],
+                         [[1, 1, 1], [2, 2]])
+        assert e.value.index == (2,)
+
+    def test_overlap_with_earlier_commit_raises_before_any_payload(self):
+        f = make(shape=(8,))
+        f.store(0, slice(4, 6), [7, 7])
+        with pytest.raises(WriteOnceViolation) as e:
+            f.store_many(0, [slice(0, 2), slice(5, 7)], [[1, 1], [2, 2]])
+        assert e.value.index == (5,)
+        # Neither region committed and no payload byte was copied.
+        assert f.written_count(0) == 2
+        assert f._ages[0].data.tolist() == [0, 0, 0, 0, 7, 7, 0, 0]
+
+    def test_region_past_declared_shape_raises(self):
+        f = make(shape=(4,))
+        with pytest.raises(ExtentError, match="declared shape"):
+            f.store_many(0, [slice(0, 2), slice(3, 5)], [[1, 1], [2, 2]])
+        assert f.written_count(0) == 0
+
+    def test_value_count_must_match_regions(self):
+        with pytest.raises(ExtentError):
+            make(shape=(4,)).store_many(0, [0, 1], [5])
+
+    def test_collected_age_raises(self):
+        f = make(shape=(4,))
+        f.store_many(0, [0], [1])
+        f.collect_age(0)
+        with pytest.raises(CollectedAgeError):
+            f.store_many(0, [1, 2], [1, 2])
+        with pytest.raises(CollectedAgeError):
+            f.store_many(0, [1, 2])
+
+    def test_concurrent_batches_on_a_growable_field(self):
+        """Threads committing disjoint batches while their stores keep
+        growing the field lose no element and raise nothing."""
+        import sys
+        import threading
+
+        f = make(dtype="int64")
+        errors = []
+
+        def writer(t):
+            try:
+                for k in range(200):
+                    base = (k * 4 + t) * 8
+                    regions = [slice(base + j, base + j + 2)
+                               for j in range(0, 8, 2)]
+                    f.store_many(0, regions,
+                                 [[r.start, r.start + 1] for r in regions])
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(t,))
+                       for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert f.written_count(0) == 6400
+        assert f.fetch(0).tolist() == list(range(6400))
+
+    def test_metadata_commit(self):
+        """``values=None`` is the processes backend's parent-side commit
+        (the role of the former ``mark_written_many``): masks, counters
+        and write-once per region, payload untouched, no growth."""
+        f = make(shape=(6,))
+        f.store_many(2, [slice(0, 2), slice(4, 6)])
+        assert f.is_complete(2, slice(0, 2))
+        assert f.is_complete(2, slice(4, 6))
+        assert not f.is_complete(2, slice(2, 4))
+        assert f.written_count(2) == 4
+        assert f.elements_written == 4
+        assert f.max_stored_age == 2
+        assert f._ages[2].data.tolist() == [0] * 6
+        with pytest.raises(WriteOnceViolation):
+            f.store_many(2, [slice(2, 4), slice(3, 5)])
+        with pytest.raises(ExtentError):
+            make().store_many(0, [slice(0, 1)])  # growable, extent 0
+
+    def test_metadata_commit_matches_per_region_commits(self):
+        regions = [slice(3, 5), 0, slice(6, 8), 1]
+        batched, single = make(shape=(8,)), make(shape=(8,))
+        batched.store_many(1, regions)
+        for r in regions:
+            single.store_many(1, [r])
+        assert (batched._ages[1].written == single._ages[1].written).all()
+        assert batched.written_count(1) == single.written_count(1) == 6
+        assert batched.elements_written == single.elements_written
+
+
 class TestLocalField:
     def test_put_grows(self):
         lf = LocalField("int32", 1)

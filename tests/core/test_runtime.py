@@ -337,6 +337,50 @@ class TestWindDown:
         counter.dec()
         assert counter.value() == 0
 
+    @pytest.mark.parametrize("ending", ["shutdown", "error"])
+    def test_events_buffered_by_the_analyzer_are_retired(self, ending):
+        """The analyzer drains the whole event queue per wake-up.  Events
+        it has buffered when the ShutdownEvent arrives, or behind an
+        event whose analysis fails, are out of the queue but still hold
+        work units: the loop must retire them before it returns."""
+        from repro.core.events import ShutdownEvent, StoreEvent
+
+        def source(ctx):
+            ctx.emit("f", np.arange(4))
+
+        program = Program.build(
+            [FieldDef("f", "int64", 1, shape=(4,))],
+            [KernelDef("src", source,
+                       stores=(StoreSpec("f", AgeExpr.const(0), key="f"),))],
+        )
+        counter = WorkCounter()
+        node = ExecutionNode(program, 1, counter=counter)
+        entered, gate = threading.Event(), threading.Event()
+        on_store = node.analyzer.on_store
+
+        def gated(*run):
+            entered.set()
+            assert gate.wait(5)
+            return on_store(*run)
+
+        node.analyzer.on_store = gated
+        counter.inc()  # startup token, as the cluster layer holds it
+        node.start()
+        assert entered.wait(5)  # the analyzer holds src's store event
+        if ending == "error":
+            node.inject(StoreEvent("missing", 0, (slice(0, 1),)))
+        node.inject(StoreEvent("f", 0, (slice(0, 2),)))
+        node.inject(StoreEvent("f", 0, (slice(2, 4),)))
+        node._events.put(ShutdownEvent())
+        # A late worker post queued behind the shutdown marker.
+        node._post_many([StoreEvent("f", 0, (slice(0, 1),))])
+        gate.set()  # the next wake-up buffers all of the above at once
+        node.wind_down()
+        assert node._events.qsize() == 0
+        assert (node._error is not None) == (ending == "error")
+        counter.dec()
+        assert counter.value() == 0
+
     def test_inject_after_wind_down_is_ignored(self):
         from repro.core import StoreEvent
 

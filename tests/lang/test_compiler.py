@@ -183,6 +183,30 @@ reader:
         run_program(program, workers=1, timeout=30)
         assert sink == [7]
 
+    def test_print_writes_each_line_whole(self):
+        """One write per ``print`` call: lines printed by instances on
+        different worker threads cannot interleave."""
+
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        rec = Recorder()
+        src = """
+k:
+  index x;
+  domain x = 3;
+  %{ print("x", x, ":", [x, x], file=rec) %}
+"""
+        program = compile_program(src, bindings={"rec": rec})
+        run_program(program, workers=2, timeout=30)
+        assert sorted(rec.writes) == [
+            f"x {x} : [{x}, {x}]\n" for x in range(3)
+        ]
+
     def test_two_stores_same_field_distinct_sources(self):
         src = """
 int64[] f age;

@@ -183,3 +183,33 @@ class TestTimelineRecorder:
         bucket_mean_sum = sum(s["mean"] for s in stages.values())
         e2e_mean = sum(e2e) / len(e2e)
         assert math.isclose(bucket_mean_sum, e2e_mean, rel_tol=1e-6)
+
+
+class TestRuntimeBooking:
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_fetch_phase_booked_as_fetch(self, batch):
+        """Both execute paths (per instance and vectorized batch) book
+        the input fetch under ``fetch``, not ``store``."""
+        import time
+
+        from repro.core import ExecutionNode
+        from repro.workloads import MJPEGConfig, build_mjpeg
+
+        program, _ = build_mjpeg(config=MJPEGConfig(32, 32, frames=1))
+        tl = TimelineRecorder()
+        tl.begin("", 0, time.perf_counter())
+        booked = []
+        span = tl.span
+
+        def record(session, age, bucket, t0, t1):
+            booked.append(bucket)
+            span(session, age, bucket, t0, t1)
+
+        tl.span = record
+        ExecutionNode(program, 1, batch=batch, timeline=tl).run()
+        parts = tl.finish("", 0, time.perf_counter())
+        # One fetch, compute and store span per dispatch.
+        n = booked.count("compute")
+        assert n > 0
+        assert booked.count("fetch") == booked.count("store") == n
+        assert parts["fetch"] > 0
