@@ -194,12 +194,17 @@ def _print_stream_report(args: argparse.Namespace, rep) -> None:
     if rep is None:
         return
     lat = rep.latency_ms
+    # Zero misses against no deadline would read as healthy; say so.
+    misses = (
+        "no deadline set" if rep.deadline_ms is None
+        else f"deadline misses {rep.deadline_misses}"
+    )
     print(f"live stream: {rep.offered} offered, {rep.admitted} admitted, "
           f"{rep.completed} completed, {rep.shed} shed, "
           f"{rep.degraded} degraded in {rep.duration_s:.2f}s")
     print(f"latency p50 {lat['p50']:.1f}ms p99 {lat['p99']:.1f}ms "
-          f"max {lat['max']:.1f}ms; deadline misses "
-          f"{rep.deadline_misses}; peak live {rep.peak_live_bytes} B "
+          f"max {lat['max']:.1f}ms; {misses}; "
+          f"peak live {rep.peak_live_bytes} B "
           f"(retired {rep.freed_bytes} B); "
           f"source blocked {rep.blocked_s:.2f}s")
     if rep.stages:

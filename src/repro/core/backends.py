@@ -39,9 +39,20 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from .errors import KernelBodyError, RuntimeStateError, WorkerProcessError
+from .errors import (
+    ExtentError,
+    KernelBodyError,
+    RuntimeStateError,
+    WorkerProcessError,
+)
 from .events import InstanceDoneEvent, StoreEvent
-from .fields import FieldStore, SharedFieldStore, segment_name
+from .fields import (
+    FieldStore,
+    SharedFieldStore,
+    block_index,
+    block_regions,
+    segment_name,
+)
 from .kernels import KernelContext, KernelInstance, coerce_store_value
 from .program import Program
 from .scheduler import apply_decisions
@@ -294,43 +305,47 @@ def _worker_run_instance(
 def _worker_run_batch_vectorized(
     program, kernel, age, indices, cache: _SegmentCache
 ):
-    """One stacked ``batch_body`` call worker-side, writing stores
-    straight into the shared-memory views.  Returns
-    ``(results, dispatch_time, kernel_time)`` with ``results`` in the
-    parent protocol's per-instance shape, or ``None`` when this batch
-    must take the scalar path (no uniform fetch plan, or the body
-    raised :class:`~repro.core.vectorize.VectorizeFallback`)."""
+    """One stacked ``batch_body`` call worker-side: one gather per
+    region fetch and one scatter per store, straight on the
+    shared-memory views.  Returns ``(block_stores, dispatch_time,
+    kernel_time)`` — ``block_stores`` is ``[(field, age, starts,
+    shape)]``, one block of regions per store spec that the batch
+    emitted — or ``None`` when this batch must take the scalar path (no
+    uniform fetch plan, or the body raised
+    :class:`~repro.core.vectorize.VectorizeFallback`)."""
     from .vectorize import (
         BatchKernelContext,
         VectorizeFallback,
         batch_fetch_plan,
+        batch_indices,
+        batch_store_starts,
     )
 
     t0 = time.perf_counter()
-    imaps = [dict(zip(kernel.index_vars, index)) for index in indices]
+    idx = batch_indices(kernel, indices)
     plan = batch_fetch_plan(
-        kernel, age, imaps, lambda name: program.fields[name].shape
+        kernel, age, idx, lambda name: program.fields[name].shape
     )
     if plan is None:
         return None
     n = len(indices)
     fetched: dict[str, Any] = {}
     shared: set[str] = set()
-    for f, f_age, regions in plan:
+    for f, f_age, block in plan:
         fdef = program.fields[f.field]
         assert fdef.shape is not None
         view = cache.view(f.field, f_age, fdef.shape, fdef.np_dtype)
-        if regions is None:
+        if block is None:
             whole = view[tuple(slice(0, m) for m in fdef.shape)]
             whole.flags.writeable = False
             fetched[f.param] = whole
             shared.add(f.param)
             continue
-        shape = tuple(s.stop - s.start for s in regions[0])
-        stack = np.empty((n,) + shape, dtype=fdef.np_dtype)
-        for i, region in enumerate(regions):
-            stack[i] = view[region]
-        fetched[f.param] = stack
+        starts, shape = block
+        fetched[f.param] = np.take(
+            view, block_index(starts, shape, fdef.shape)
+        )
+    imaps = [dict(zip(kernel.index_vars, index)) for index in indices]
     bctx = BatchKernelContext(age, imaps, fetched, frozenset(shared))
     t1 = time.perf_counter()
     try:
@@ -340,7 +355,7 @@ def _worker_run_batch_vectorized(
     except Exception as exc:  # noqa: BLE001 - flagged for the parent
         raise _WorkerBodyError(exc) from exc
     t2 = time.perf_counter()
-    per_stores: list[list[tuple]] = [[] for _ in range(n)]
+    block_stores: list[tuple] = []
     for s in kernel.stores:
         if s.emit_key not in bctx.emitted:
             continue
@@ -356,17 +371,18 @@ def _worker_run_batch_vectorized(
             values[0], fdef.np_dtype, fdef.ndim, s
         )
         shape = first.shape
-        stack = np.asarray(values, dtype=fdef.np_dtype)
-        for i, imap in enumerate(imaps):
-            region = spec.region(imap, shape)
-            view[region] = stack[i].reshape(shape)
-            per_stores[i].append(
-                (s.field, s_age,
-                 tuple((sl.start, sl.stop) for sl in region))
+        starts = batch_store_starts(kernel, spec, idx)
+        if (starts + shape > np.asarray(fdef.shape)).any():
+            raise ExtentError(
+                f"field {s.field!r}: a store region of shape {shape} "
+                f"exceeds the declared shape {fdef.shape}"
             )
+        stack = np.asarray(values, dtype=fdef.np_dtype)
+        np.put(view, block_index(starts, shape, fdef.shape),
+               stack.reshape((n,) + shape))
+        block_stores.append((s.field, s_age, starts, shape))
     t3 = time.perf_counter()
-    results = [(stores, []) for stores in per_stores]
-    return results, (t1 - t0) + (t3 - t2), t2 - t1
+    return block_stores, (t1 - t0) + (t3 - t2), t2 - t1
 
 
 def _worker_program_for(versions, age):
@@ -399,7 +415,11 @@ def _worker_main(
     ``("bok", [(stores_i, outputs_i), ...], t_dispatch, t_kernel)``
     with one entry per instance in batch order, or
     ``("berr", idx, in_body, type_name, message, traceback_text)``
-    naming the first failing instance.
+    naming the first failing instance.  A vectorized batch replies
+    ``("vok", [(field, age, starts, shape), ...], t_dispatch,
+    t_kernel)`` instead: one block of same-shape regions per store spec
+    (``starts`` is the ``(N, ndim)`` array of first elements, batch
+    order), every instance having stored to each, and no outputs.
 
     A ``("__replan__", epoch, decisions)`` message (no reply) announces a
     live LLS swap: kernel bodies are closures and cannot cross the pipe,
@@ -449,18 +469,18 @@ def _worker_main(
                             program, kernel, age, indices, cache
                         )
                     if batched is not None:
-                        results, t_disp, t_kern = batched
-                    else:
-                        results = []
-                        t_disp = t_kern = 0.0
-                        ctx = KernelContext()
-                        for idx, index in enumerate(indices):
-                            stores, outputs, d, k = _worker_run_instance(
-                                program, kernel, age, index, cache, ctx
-                            )
-                            results.append((stores, outputs))
-                            t_disp += d
-                            t_kern += k
+                        conn.send(("vok",) + batched)
+                        continue
+                    results = []
+                    t_disp = t_kern = 0.0
+                    ctx = KernelContext()
+                    for idx, index in enumerate(indices):
+                        stores, outputs, d, k = _worker_run_instance(
+                            program, kernel, age, index, cache, ctx
+                        )
+                        results.append((stores, outputs))
+                        t_disp += d
+                        t_kern += k
                     conn.send(("bok", results, t_disp, t_kern))
                 except _WorkerBodyError as exc:
                     conn.send(
@@ -741,8 +761,10 @@ class ProcessBackend(ExecutionBackend):
         reply — the per-batch (not per-instance) IPC round-trip is the
         whole point of batched dispatch on this backend.  The parent
         commits the batch's write-once metadata with one
-        :meth:`~repro.core.fields.Field.store_many` per (field, age) and
-        posts every store and done event in one
+        :meth:`~repro.core.fields.Field.store_block` per store spec of a
+        vectorized batch (one :meth:`~repro.core.fields.Field.store_many`
+        per (field, age) of a scalar-loop batch) and posts every store
+        and done event in one
         :meth:`~repro.core.runtime.ExecutionNode._post_many`; each
         instance still gets its own events, so analyzer semantics
         (stream credits, age retirement, quiescence) are unchanged."""
@@ -781,28 +803,39 @@ class ProcessBackend(ExecutionBackend):
             raise WorkerProcessError(
                 worker_id, f"{type_name}: {message}"
             )
-        _tag, results, t_dispatch, t_kernel = reply
         # Commit write-once metadata in bulk — one commit per (field,
         # age) — *before* posting any StoreEvent, so the analyzer only
         # ever observes completeness that is at least as advanced as the
         # event it is handling.  Events go out grouped the same way, so
         # each group reaches the analyzer as one coalesced store run.
-        grouped: dict[tuple[str, int], list[tuple]] = {}
-        n_stores = 0
-        for stores, _outputs in results:
-            for fname, s_age, bounds in stores:
-                region = tuple(slice(a, b) for a, b in bounds)
-                grouped.setdefault((fname, s_age), []).append(region)
-            n_stores += len(stores)
         events: list = []
-        for (fname, s_age), regions in grouped.items():
-            node.fields[fname].store_many(s_age, regions)
-            events.extend(StoreEvent(fname, s_age, r) for r in regions)
-        for inst, (_stores, outputs) in zip(batch, results):
-            for key, value in outputs:
-                node._deliver_output(
-                    kernel.name, inst.age, inst.index, key, value
+        if reply[0] == "vok":
+            _tag, blocks, t_dispatch, t_kernel = reply
+            for fname, s_age, starts, shape in blocks:
+                node.fields[fname].store_block(s_age, starts, shape)
+                events.extend(
+                    StoreEvent(fname, s_age, r)
+                    for r in block_regions(starts, shape)
                 )
+            n_stores = n * len(blocks)
+            stored = [bool(blocks)] * n
+        else:
+            _tag, results, t_dispatch, t_kernel = reply
+            grouped: dict[tuple[str, int], list[tuple]] = {}
+            for stores, _outputs in results:
+                for fname, s_age, bounds in stores:
+                    region = tuple(slice(a, b) for a, b in bounds)
+                    grouped.setdefault((fname, s_age), []).append(region)
+            for (fname, s_age), regions in grouped.items():
+                node.fields[fname].store_many(s_age, regions)
+                events.extend(StoreEvent(fname, s_age, r) for r in regions)
+            for inst, (_stores, outputs) in zip(batch, results):
+                for key, value in outputs:
+                    node._deliver_output(
+                        kernel.name, inst.age, inst.index, key, value
+                    )
+            n_stores = sum(len(stores) for stores, _outputs in results)
+            stored = [bool(stores) for stores, _outputs in results]
         t_done = time.perf_counter()
         dispatch = t_dispatch + (t_send - t0) + (t_done - t_recv)
         ipc = max(0.0, (t_recv - t_send) - t_dispatch - t_kernel)
@@ -839,11 +872,11 @@ class ProcessBackend(ExecutionBackend):
         events.extend(
             InstanceDoneEvent(
                 inst,
-                bool(stores),
+                stored_any,
                 kernel_time=t_kernel / n,
                 dispatch_time=dispatch / n,
             )
-            for inst, (stores, _outputs) in zip(batch, results)
+            for inst, stored_any in zip(batch, stored)
         )
         node._post_many(events)
 

@@ -32,6 +32,7 @@ Two storage flavours exist:
 
 from __future__ import annotations
 
+import functools
 import math
 import secrets
 import threading
@@ -178,6 +179,67 @@ def normalize_index(index: Any, ndim: int) -> IndexExpr:
 def index_shape(index: IndexExpr) -> tuple[int, ...]:
     """Shape of the region selected by a normalized index."""
     return tuple(s.stop - s.start for s in index)
+
+
+@functools.lru_cache(maxsize=256)
+def _block_offsets(
+    shape: tuple[int, ...], extent: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat C-order offsets of a ``shape`` block's elements from its first
+    element in an array of ``extent``, plus the array's element strides."""
+    strides = [1] * len(extent)
+    for k in range(len(extent) - 2, -1, -1):
+        strides[k] = strides[k + 1] * extent[k + 1]
+    offs = np.zeros(shape, dtype=np.int64)
+    for k, (w, st) in enumerate(zip(shape, strides)):
+        axis = [1] * len(shape)
+        axis[k] = w
+        offs += (np.arange(w, dtype=np.int64) * st).reshape(axis)
+    offs.flags.writeable = False
+    return offs, np.asarray(strides, dtype=np.int64)
+
+
+def block_index(
+    starts: np.ndarray, shape: tuple[int, ...], extent: tuple[int, ...]
+) -> np.ndarray:
+    """Flat element indices of N same-shape regions of a C-contiguous
+    array of ``extent``: row ``i`` of ``starts`` (an ``(N, ndim)`` int
+    array) is region ``i``'s first element.  The result has shape
+    ``(N, *shape)``, so ``np.take(arr, block_index(...))`` gathers the
+    regions into one stacked copy and ``np.put`` scatters a stack back.
+    The caller guarantees every region lies inside ``extent``."""
+    offs, strides = _block_offsets(tuple(shape), tuple(extent))
+    base = starts @ strides
+    return base.reshape((len(starts),) + (1,) * len(shape)) + offs
+
+
+def block_regions(
+    starts: np.ndarray, shape: tuple[int, ...]
+) -> list[IndexExpr]:
+    """The per-region index tuples of a block of same-shape regions."""
+    cols = [
+        [slice(a, a + w) for a in col]
+        for col, w in zip(starts.T.tolist(), shape)
+    ]
+    return list(zip(*cols))
+
+
+def lattice_disjoint(starts: np.ndarray, shape: tuple[int, ...]) -> bool:
+    """Whether N same-shape regions are pairwise disjoint because they
+    sit on distinct cells of the ``shape`` lattice: every start is a
+    non-negative multiple of the block shape and no two starts are
+    equal.  Regions of one shape aligned to its lattice either coincide
+    or share no element, so distinct starts are disjoint by
+    construction.  ``False`` is not a claim of overlap, only that the
+    cheap rule does not apply."""
+    n = len(starts)
+    if n == 0 or any(w <= 0 for w in shape) or starts.min() < 0:
+        return False
+    if n == 1:
+        return True
+    if (starts % np.asarray(shape)).any():
+        return False
+    return len(set(map(tuple, starts.tolist()))) == n
 
 
 @dataclass
@@ -502,6 +564,115 @@ class Field:
                 self._commit_written(age, slot, idx, math.prod(shape))
         return resize
 
+    def _raise_block_write_once(
+        self, age: int, starts: np.ndarray, shape: tuple[int, ...],
+        hit: np.ndarray,
+    ) -> None:
+        i = int(np.flatnonzero(hit.reshape(len(hit), -1).any(axis=1))[0])
+        idx = block_regions(starts[i:i + 1], shape)[0]
+        self._raise_write_once(age, idx, hit[i])
+
+    def store_block(
+        self,
+        age: int,
+        starts: np.ndarray,
+        shape: tuple[int, ...],
+        values: Any | None = None,
+    ) -> ResizeInfo | None:
+        """Commit N same-shape regions to one age: region ``i`` starts at
+        ``starts[i]`` (an ``(N, ndim)`` int array) and receives
+        ``values[i]`` (``values`` is an ``(N, *shape)`` stack, or
+        ``None`` for the metadata-only commit of :meth:`store_many`).
+
+        The block form of :meth:`store_many`, with the same semantics
+        and errors.  When the regions sit on distinct cells of the
+        ``shape`` lattice (:func:`lattice_disjoint`) they cannot overlap
+        each other, so write-once needs only one pre-check of the
+        gathered mask against earlier commits (before any payload is
+        written) and one re-check at commit; the payload lands in one
+        NumPy scatter (outside the lock for fixed-shape fields, inside
+        it for growable ones) and the counters move once.  Any other
+        batch goes through :meth:`store_many`'s per-region loop, so
+        in-batch overlaps still raise :class:`WriteOnceViolation`.
+        """
+        starts = np.asarray(starts, dtype=np.int64)
+        shape = tuple(int(w) for w in shape)
+        if (
+            starts.ndim != 2
+            or starts.shape[1] != self.ndim
+            or len(shape) != self.ndim
+        ):
+            raise ExtentError(
+                f"field {self.name!r}: block of starts {starts.shape} and "
+                f"shape {shape} does not match {self.ndim} dimension(s)"
+            )
+        if not lattice_disjoint(starts, shape):
+            return self.store_many(age, block_regions(starts, shape), values)
+        self._check_age(age)
+        n = len(starts)
+        arr = None
+        if values is not None:
+            arr = np.asarray(values, dtype=self.fdef.np_dtype)
+            if arr.shape != (n,) + shape:
+                try:
+                    arr = np.broadcast_to(arr, (n,) + shape)
+                except ValueError:
+                    raise ExtentError(
+                        f"field {self.name!r}: value shape {arr.shape} "
+                        f"does not match a block of {n} regions {shape}"
+                    ) from None
+        fixed = values is None or self.fdef.shape is not None
+        stops = starts.max(axis=0) + shape
+        with self._lock:
+            old = self._extent
+            needed = tuple(max(m, int(s)) for m, s in zip(old, stops))
+            resize = None
+            if needed != old:
+                if fixed:
+                    bad = int(np.flatnonzero(
+                        (starts + shape > np.asarray(old)).any(axis=1)
+                    )[0])
+                    limit = (
+                        f"extent {old}" if self.fdef.shape is None
+                        else f"the declared shape {self.fdef.shape}"
+                    )
+                    raise ExtentError(
+                        f"field {self.name!r}: store region "
+                        f"{block_regions(starts[bad:bad + 1], shape)[0]} "
+                        f"exceeds {limit}"
+                    )
+                self._extent = needed
+                resize = ResizeInfo(self.name, old, needed)
+            slot = self._slot(age, create=True)
+            assert slot is not None
+            grid = slot.written.shape
+            flat = block_index(starts, shape, grid)
+            if arr is not None:
+                hit = np.take(slot.written, flat)
+                if hit.any():
+                    self._raise_block_write_once(age, starts, shape, hit)
+                if not fixed:
+                    # Growable: a concurrent resize may swap slot.data, so
+                    # the scatter must stay inside the critical section.
+                    np.put(slot.data, flat, arr)
+        if arr is not None and fixed:
+            np.put(slot.data, flat, arr)
+        with self._lock:
+            if slot.collected:
+                raise CollectedAgeError(self.name, age)
+            if slot.written.shape != grid:  # grown since the pre-check
+                flat = block_index(starts, shape, slot.written.shape)
+            hit = np.take(slot.written, flat)
+            if hit.any():
+                self._raise_block_write_once(age, starts, shape, hit)
+            np.put(slot.written, flat, True)
+            count = n * math.prod(shape)
+            slot.store_count += count
+            self.elements_written += count
+            if age > self._max_stored_age:
+                self._max_stored_age = age
+        return resize
+
     # ------------------------------------------------------------------
     # Fetches and completeness
     # ------------------------------------------------------------------
@@ -541,6 +712,51 @@ class Field:
         # stores touch other elements; grow() swaps in a new array without
         # mutating the one referenced here).
         return data[idx].copy()
+
+    def fetch_block(
+        self, age: int, starts: np.ndarray, shape: tuple[int, ...]
+    ) -> np.ndarray:
+        """Fetch N same-shape regions of ``self[age]`` as one stacked
+        ``(N, *shape)`` copy; region ``i`` starts at ``starts[i]``.
+
+        The block form of :meth:`fetch`, with its errors: one age check,
+        one lock, one extent check and one completeness check of the
+        gathered mask, then one NumPy gather outside the lock (complete
+        regions are immutable under write-once).
+        """
+        self._check_age(age)
+        starts = np.asarray(starts, dtype=np.int64)
+        shape = tuple(int(w) for w in shape)
+        with self._lock:
+            slot = self._ages.get(age)
+            if slot is not None and slot.collected:
+                raise CollectedAgeError(self.name, age)
+            extent = self._extent
+            bad = (starts < 0).any(axis=1) | (
+                starts + shape > np.asarray(extent)
+            ).any(axis=1)
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                raise ExtentError(
+                    f"field {self.name!r}: fetch region "
+                    f"{block_regions(starts[i:i + 1], shape)[0]} exceeds "
+                    f"extent {extent}"
+                )
+            if slot is not None and slot.data.shape != extent:
+                slot.grow(extent)
+            flat = block_index(starts, shape, extent)
+            done = None if slot is None else np.take(slot.written, flat)
+            if done is None or not done.all():
+                i = 0 if done is None else int(np.flatnonzero(
+                    ~done.reshape(len(done), -1).all(axis=1)
+                )[0])
+                raise ExtentError(
+                    f"field {self.name!r}: fetch of incomplete region "
+                    f"age={age} index="
+                    f"{block_regions(starts[i:i + 1], shape)[0]}"
+                )
+            data = slot.data
+        return np.take(data, flat)
 
     def peek(self, age: int, index: Any | None = None) -> np.ndarray | None:
         """Like :meth:`fetch` but returns ``None`` for incomplete regions."""

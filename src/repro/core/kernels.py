@@ -193,6 +193,29 @@ class Dim:
             start = max(0, stop - self.block)
         return slice(start, max(start, stop))
 
+    def regions(
+        self, values: np.ndarray, extent: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`region` for an array of index-variable values at once:
+        the ``(starts, stops)`` arrays of the selected slices."""
+        values = np.asarray(values, dtype=np.int64)
+        if self.is_all:
+            return np.zeros_like(values), np.full_like(values, extent)
+        start = values * self.block + self.offset
+        stop = start + self.block
+        if self.offset == 0:
+            return start, np.minimum(stop, extent)
+        if self.boundary == "shrink":
+            lo = np.maximum(start, 0)
+            return lo, np.maximum(lo, np.minimum(stop, extent))
+        low = start < 0
+        start = np.where(low, 0, start)
+        stop = np.where(low, min(self.block, extent), stop)
+        high = stop > extent
+        stop = np.where(high, extent, stop)
+        start = np.where(high, np.maximum(0, stop - self.block), start)
+        return start, np.maximum(start, stop)
+
     def candidates(self, region: slice, extent: int) -> range:
         """Index-variable values whose region intersects ``region``."""
         if self.is_all:

@@ -58,7 +58,7 @@ from .events import (
     StoreEvent,
     WorkToken,
 )
-from .fields import FieldStore, SharedFieldStore
+from .fields import FieldStore, SharedFieldStore, block_regions
 from .instrumentation import Instrumentation
 from .kernels import KernelContext, KernelInstance, coerce_store_value
 from .program import Program
@@ -904,14 +904,26 @@ class ExecutionNode:
         the scalar body per instance with one pooled
         :class:`KernelContext`.
 
-        The vectorized path commits each stored (field, age) with one
-        :meth:`~repro.core.fields.Field.store_many` and posts the whole
-        batch's events with one :meth:`_post_many`; the scalar path does
-        the same per instance.  Every instance still gets its own
-        :class:`StoreEvent` per store and its own
-        :class:`InstanceDoneEvent`, so stream credits and age retirement
-        observe exactly the per-instance event stream, and a
-        :class:`StoreEvent` is posted only after its region has
+        The vectorized path is block-granular from fetch to commit.
+        :func:`~repro.core.vectorize.batch_fetch_plan` resolves each
+        region fetch to ``(starts, shape)`` with vectorized region
+        arithmetic, and :meth:`~repro.core.fields.Field.fetch_block`
+        gathers it in one NumPy call (whole-field fetches stay one
+        :meth:`~repro.core.fields.Field.fetch` each).  Each store spec
+        commits with one :meth:`~repro.core.fields.Field.store_block`:
+        one scatter and one counter update when the regions sit on
+        distinct cells of their block lattice (disjoint by
+        construction), the per-region write-once loop of
+        :meth:`~repro.core.fields.Field.store_many` otherwise.  Recover
+        nodes keep the per-region skip-or-store path.  The whole batch's
+        events go out with one :meth:`_post_many`; the scalar path does
+        the same per instance.
+
+        Every instance still gets its own :class:`StoreEvent` per store
+        and its own :class:`InstanceDoneEvent`: the :attr:`on_event`
+        tap, the cluster transport and its replay log, stream credits
+        and age retirement all observe the per-instance event stream.
+        A :class:`StoreEvent` is posted only after its region has
         committed — the analyzer's one-probe-per-store-run rule relies
         on that (see :meth:`DependencyAnalyzer.on_store`).
         """
@@ -934,31 +946,30 @@ class ExecutionNode:
             BatchKernelContext,
             VectorizeFallback,
             batch_fetch_plan,
+            batch_indices,
+            batch_store_starts,
         )
 
         kernel = batch[0].kernel
         age = batch[0].age
         n = len(batch)
         t0 = time.perf_counter()
-        imaps = [inst.index_map() for inst in batch]
+        indices = batch_indices(kernel, [inst.index for inst in batch])
         plan = batch_fetch_plan(
-            kernel, age, imaps, lambda name: self.fields[name].extent
+            kernel, age, indices, lambda name: self.fields[name].extent
         )
         if plan is None:
             return False
         fetched: dict[str, Any] = {}
         shared: set[str] = set()
-        for f, f_age, regions in plan:
+        for f, f_age, block in plan:
             field = self.fields[f.field]
-            if regions is None:
+            if block is None:
                 fetched[f.param] = field.fetch(f_age, None)
                 shared.add(f.param)
-                continue
-            shape = tuple(s.stop - s.start for s in regions[0])
-            stack = np.empty((n,) + shape, dtype=field.fdef.np_dtype)
-            for i, region in enumerate(regions):
-                stack[i] = field.fetch(f_age, region)
-            fetched[f.param] = stack
+            else:
+                fetched[f.param] = field.fetch_block(f_age, *block)
+        imaps = [inst.index_map() for inst in batch]
         bctx = BatchKernelContext(age, imaps, fetched,
                                   frozenset(shared))
         t1 = time.perf_counter()
@@ -990,14 +1001,17 @@ class ExecutionNode:
                 )
                 shape = first.shape
                 stack = np.asarray(values, dtype=field.fdef.np_dtype)
-                regions = [spec.region(imap, shape) for imap in imaps]
-                resize = field.store_many(
-                    s_age, regions, stack.reshape((n,) + shape)
+                starts = batch_store_starts(kernel, spec, indices)
+                resize = field.store_block(
+                    s_age, starts, shape, stack.reshape((n,) + shape)
                 )
                 if resize is not None:
                     events.append(ResizeEvent(s.field, resize.old_extent,
                                               resize.new_extent))
-                events.extend(StoreEvent(s.field, s_age, r) for r in regions)
+                events.extend(
+                    StoreEvent(s.field, s_age, r)
+                    for r in block_regions(starts, shape)
+                )
                 continue
             for i, imap in enumerate(imaps):
                 arr, spec = coerce_store_value(
@@ -1194,31 +1208,40 @@ class ExecutionNode:
                 tap(self, ev)
 
     def _dispatch(self, instances) -> None:
-        n = 0
+        """Push newly ready instances, counting them first with one
+        counter update.  ``ReadyQueue.push`` stays per instance: it is
+        the queue's entry point for every scheduling policy."""
+        instances = list(instances)
+        n = len(instances)
+        if not n:
+            return
+        self._inc(n)
+        push = self.ready.push
         for inst in instances:
-            self._inc()
-            self.ready.push(inst)
-            n += 1
-        if n and self.tracer.enabled:
+            push(inst)
+        if self.tracer.enabled:
             self.tracer.instant(
                 "dispatch", "scheduler", self.name, "analyzer",
                 args={"count": n},
             )
 
     def _retire_events(self, events) -> None:
-        """Retire queued events' outstanding-work units, one by one.
+        """Retire queued events' outstanding-work units.
 
         Token-carrying events (replan swaps) release their own
         :class:`~repro.core.events.WorkToken`; everything else retires
-        the generic per-event count.  A :class:`ShutdownEvent` holds no
-        unit.
+        the generic per-event count, all with one counter update.  A
+        :class:`ShutdownEvent` holds no unit.
         """
+        n = 0
         for ev in events:
             token = getattr(ev, "token", None)
             if token is not None:
                 token.release()
             elif not isinstance(ev, ShutdownEvent):
-                self._dec()
+                n += 1
+        if n:
+            self._dec(n)
 
     def _analyzer_loop(self) -> None:
         """Analyze queued events until a :class:`ShutdownEvent` or an
@@ -1228,11 +1251,13 @@ class ExecutionNode:
         consecutive :class:`StoreEvent`s on the same (field, age) goes
         to :meth:`DependencyAnalyzer.on_store` as ONE call, so the
         per-call work (age solving, whole-field pre-checks, pruning,
-        the stored-region probe) is paid once per run, not per event;
-        every other event is analyzed on its own.  Each event retires
-        its own work unit after its run is analyzed.  Events buffered
-        behind a shutdown or an error are retired before the loop
-        returns, so :meth:`wind_down` leaves the counter balanced.
+        the stored-region probe) is paid once per run, not per event.
+        A run of consecutive :class:`InstanceDoneEvent`s is analyzed as
+        one unit too (see :meth:`_analyze`); every other event is
+        analyzed on its own.  A run's events retire their work units
+        after the run is analyzed.  Events buffered behind a shutdown or
+        an error are retired before the loop returns, so
+        :meth:`wind_down` leaves the counter balanced.
         """
         get, get_nowait = self._events.get, self._events.get_nowait
         while True:
@@ -1257,15 +1282,23 @@ class ExecutionNode:
                         and buf[j].age == ev.age
                     ):
                         j += 1
+                elif isinstance(ev, InstanceDoneEvent):
+                    while j < n and isinstance(buf[j], InstanceDoneEvent):
+                        j += 1
                 if not self._analyze(buf[i:j]):
                     self._retire_events(buf[j:])
                     return
                 i = j
 
     def _analyze(self, run: list) -> bool:
-        """Analyze one event, or one coalesced store run, and retire
-        its events; ``False`` when analysis failed (the run is then
-        stopped with the error recorded)."""
+        """Analyze one event, or one coalesced run, and retire its
+        events; ``False`` when analysis failed (the run is then stopped
+        with the error recorded).
+
+        A done run calls :meth:`DependencyAnalyzer.on_done` once per
+        event, in order, and dispatches what they advance with one
+        :meth:`_dispatch`; field GC runs once, after the whole run.
+        """
         ev = run[0]
         t0 = time.perf_counter()
         try:
@@ -1274,7 +1307,11 @@ class ExecutionNode:
             elif isinstance(ev, ResizeEvent):
                 self._dispatch(self.analyzer.on_resize(ev))
             elif isinstance(ev, InstanceDoneEvent):
-                self._dispatch(self.analyzer.on_done(ev))
+                on_done = self.analyzer.on_done
+                ready: list[KernelInstance] = []
+                for done in run:
+                    ready.extend(on_done(done))
+                self._dispatch(ready)
                 if self.gc_fields:
                     self._collect_garbage()
             elif isinstance(ev, ReplanEvent):
@@ -1293,12 +1330,15 @@ class ExecutionNode:
                 if isinstance(ev, StoreEvent):
                     args = {"field": ev.field, "age": ev.age,
                             "count": len(run)}
+                elif isinstance(ev, InstanceDoneEvent):
+                    args = {"count": len(run)}
                 elif isinstance(ev, ResizeEvent):
                     args = {"field": ev.field}
                 tr.complete(type(ev).__name__, "analyzer",
                             self.name, "analyzer", t0, t1, args)
             self._retire_events(run)
         return True
+
     def _handle_replan(self, ev: ReplanEvent) -> None:
         """Apply a queued re-binding on the analyzer thread.
 

@@ -51,6 +51,8 @@ __all__ = [
     "BatchKernelContext",
     "VectorizeFallback",
     "batch_fetch_plan",
+    "batch_indices",
+    "batch_store_starts",
     "tag_vectorizable",
     "vectorize_program",
     "vectorizable_pattern",
@@ -189,33 +191,66 @@ def vectorize_program(program) -> list[str]:
 def batch_fetch_plan(
     kernel: KernelDef,
     age: int | None,
-    imaps: Sequence[Mapping[str, int]],
+    indices: np.ndarray,
     extent_of: Callable[[str], tuple[int, ...]],
 ):
-    """Resolve every fetch of a uniform batch to concrete regions.
+    """Resolve every fetch of a uniform batch to one block of regions.
 
-    Returns ``[(spec, field_age, regions)]`` — ``regions`` is ``None``
-    for whole-field fetches and a per-instance region list otherwise —
-    or ``None`` when the batch is not vectorizable as one stacked call:
+    ``indices`` is the batch's ``(N, len(kernel.index_vars))`` index
+    array.  Returns ``[(spec, field_age, block)]`` — ``block`` is
+    ``None`` for whole-field fetches and ``(starts, shape)`` otherwise,
+    ``starts`` being the ``(N, ndim)`` first elements that
+    :meth:`~repro.core.kernels.Dim.regions` computes for the whole
+    batch at once (exactly :meth:`FetchSpec.region` per instance) — or
+    ``None`` when the batch is not vectorizable as one stacked call:
     ragged regions (the trailing block of a non-divisible extent) or
     empty shrink-boundary regions make per-instance shapes diverge, so
     the caller must take the scalar path.
     """
+    zeros = np.zeros(len(indices), dtype=np.int64)
     plan = []
     for f in kernel.fetches:
-        extent = extent_of(f.field)
         f_age = f.age.resolve(age)
         if f.whole_field():
             plan.append((f, f_age, None))
             continue
-        regions = [f.region(imap, extent) for imap in imaps]
-        shape0 = tuple(s.stop - s.start for s in regions[0])
-        for r in regions:
-            shape = tuple(s.stop - s.start for s in r)
-            if shape != shape0 or any(n <= 0 for n in shape):
+        starts, shape = [], []
+        for d, n in zip(f.dims, extent_of(f.field)):
+            values = zeros if d.is_all else (
+                indices[:, kernel.index_vars.index(d.var)]
+            )
+            lo, hi = d.regions(values, n)
+            widths = hi - lo
+            width = int(widths[0])
+            if width <= 0 or (widths != width).any():
                 return None
-        plan.append((f, f_age, regions))
+            starts.append(lo)
+            shape.append(width)
+        plan.append((f, f_age, (np.stack(starts, axis=1), tuple(shape))))
     return plan
+
+
+def batch_indices(kernel: KernelDef, indices: Sequence[tuple]) -> np.ndarray:
+    """A batch's per-instance index tuples as one ``(N, n_vars)`` array."""
+    return np.array(indices, dtype=np.int64).reshape(
+        len(indices), len(kernel.index_vars)
+    )
+
+
+def batch_store_starts(
+    kernel: KernelDef, spec, indices: np.ndarray
+) -> np.ndarray:
+    """First elements of a batch's store regions: the ``(N, ndim)``
+    array :meth:`~repro.core.kernels.StoreSpec.region` computes per
+    instance (``var * block`` for variable dims, 0 for ``all`` dims).
+    ``spec`` is the effective spec of
+    :func:`~repro.core.kernels.coerce_store_value`."""
+    cols = [
+        np.zeros(len(indices), dtype=np.int64) if d.is_all
+        else indices[:, kernel.index_vars.index(d.var)] * d.block
+        for d in spec.dims
+    ]
+    return np.stack(cols, axis=1)
 
 
 # ----------------------------------------------------------------------

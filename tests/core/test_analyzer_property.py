@@ -180,6 +180,30 @@ def make_run_program(n: int):
     )
 
 
+def make_source_program():
+    """Aged source kernels (self-advancing while they store), one with
+    its own age limit, plus a non-source consumer whose done events
+    advance nothing."""
+    def source(name, width, **kw):
+        return KernelDef(
+            name, nop, has_age=True, index_vars=("x",),
+            domain={"x": width},
+            stores=(StoreSpec(name + "_out", dims=(Dim.of("x"),)),), **kw,
+        )
+
+    sink = KernelDef(
+        "sink", nop, has_age=True, index_vars=("x",),
+        fetches=(FetchSpec("v", "src_out", dims=(Dim.of("x"),)),),
+        domain={"x": 3},
+    )
+    return Program.build(
+        [FieldDef(name + "_out", "int64", 1, shape=(3,))
+         for name in ("src", "wide", "limited")],
+        [source("src", 3), source("wide", 2),
+         source("limited", 3, age_limit=1), sink],
+    )
+
+
 def analyze_runs(program, runs):
     """Commit each run's stores, then hand the run to ``on_store`` as
     one call (the runtime's order: a store is announced only after it
@@ -228,6 +252,61 @@ class TestStoreRuns:
         blocks = -(-n // 4) * ages
         assert sum(k[0] == "block" for k in single) == blocks
         assert sum(k[0] == "prev" for k in single) == n * (ages - 1)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_done_runs_dispatch_what_single_done_events_dispatch(
+        self, data
+    ):
+        """The node analyzes a run of consecutive ``InstanceDoneEvent``s
+        as one unit (``on_done`` per event, one dispatch, one counter
+        update each way).  Any split of a done-event sequence into runs
+        advances the same sources, each once, and every event's work
+        unit is retired."""
+        from repro.core import ExecutionNode
+        from repro.core.events import InstanceDoneEvent
+        from repro.core.kernels import KernelInstance
+
+        program = make_source_program()
+        done = data.draw(st.lists(
+            st.tuples(st.sampled_from(["src", "wide", "limited", "sink"]),
+                      st.integers(0, 4), st.integers(0, 2), st.booleans()),
+            min_size=1, max_size=30,
+        ))
+        merge = data.draw(
+            st.lists(st.booleans(), min_size=len(done), max_size=len(done))
+        )
+        runs = [[done[0]]]
+        for ev, joined in zip(done[1:], merge):
+            if joined:
+                runs[-1].append(ev)
+            else:
+                runs.append([ev])
+
+        def analyze(runs):
+            node = ExecutionNode(program, 1, max_age=3)
+            pushed = []
+            for run in runs:
+                events = [
+                    InstanceDoneEvent(
+                        KernelInstance(program.kernels[name], age,
+                                       (x % program.kernels[name]
+                                        .domain["x"],)),
+                        stored,
+                    )
+                    for name, age, x, stored in run
+                ]
+                node._counter.inc(len(events))  # as _post_many does
+                assert node._analyze(events)
+                pushed += [inst.key for inst in node.ready.drain()]
+            # Every event retired its unit; each push holds one.
+            assert node._counter.value() == len(pushed)
+            return pushed
+
+        single = sorted(analyze([[ev] for ev in done]))
+        assert sorted(analyze(runs)) == single
+        assert len(set(single)) == len(single)
+        assert not any(key[0] == "sink" for key in single)
 
     def test_whole_plane_store_probes_once(self, monkeypatch):
         """A whole-plane store to MJPEG's ``y_input`` satisfies all

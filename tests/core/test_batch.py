@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    AgeExpr,
     BatchKernelContext,
     Dim,
     ExecutionNode,
@@ -223,6 +224,80 @@ class TestVectorizer:
         program.kernels["mul2"].batch_body = always_fall_back
         run_program(program, workers=2, max_age=4, batch=8)
         _assert_mulsum(sink, 5)
+
+
+@st.composite
+def _dims(draw, var):
+    """A variable dim: any block, any stencil offset, either boundary."""
+    if draw(st.integers(0, 5)) == 0:
+        return Dim.all()
+    return Dim.of(
+        var,
+        block=draw(st.integers(1, 5)),
+        offset=draw(st.integers(-6, 6)),
+        boundary=draw(st.sampled_from(["clamp", "shrink"])),
+    )
+
+
+class TestFetchPlan:
+    """``batch_fetch_plan`` resolves a batch's fetches with vectorized
+    region arithmetic that must agree with the scalar
+    ``Dim.region``/``FetchSpec.region`` per instance."""
+
+    @given(_dims("x"), st.integers(0, 40),
+           st.lists(st.integers(0, 12), min_size=1, max_size=16))
+    @settings(max_examples=300, deadline=None)
+    def test_dim_regions_match_dim_region(self, dim, extent, values):
+        """Clamp edges, shrink edges (empty regions included), ragged
+        trailing blocks and values past the domain all agree."""
+        starts, stops = dim.regions(np.array(values), extent)
+        want = [dim.region(v, extent) for v in values]
+        assert starts.tolist() == [r.start for r in want]
+        assert stops.tolist() == [r.stop for r in want]
+
+    @given(_dims("x"), _dims("y"), st.integers(1, 20), st.integers(1, 20),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_plan_matches_per_instance_regions(
+        self, dx, dy, h, w, data
+    ):
+        """The plan's ``(starts, shape)`` equals the per-instance
+        regions; it is ``None`` exactly when their shapes differ or one
+        is empty.  Whole-field fetches stay un-stacked."""
+        from repro.core.vectorize import batch_fetch_plan, batch_indices
+
+        kernel = KernelDef(
+            "k", _noop, has_age=True, index_vars=("x", "y"),
+            fetches=(
+                FetchSpec("a", "f", dims=(dx, dy)),
+                FetchSpec("b", "f", age=AgeExpr.var(-1)),
+            ),
+            domain={"x": 1, "y": 1},
+        )
+        combos = data.draw(st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, 12)),
+            min_size=1, max_size=12,
+        ))
+        plan = batch_fetch_plan(
+            kernel, 3, batch_indices(kernel, combos), lambda _: (h, w)
+        )
+        if dx.is_all and dy.is_all:  # a whole-field fetch, never stacked
+            assert [block for _f, _age, block in plan] == [None, None]
+            return
+        regions = [
+            kernel.fetches[0].region(dict(zip("xy", c)), (h, w))
+            for c in combos
+        ]
+        shapes = {tuple(s.stop - s.start for s in r) for r in regions}
+        if len(shapes) > 1 or any(n <= 0 for n in next(iter(shapes))):
+            assert plan is None
+            return
+        (a, a_age, block), (b, b_age, whole) = plan
+        assert (a.param, a_age, b.param, b_age, whole) == ("a", 3, "b", 2,
+                                                          None)
+        starts, shape = block
+        assert shape == next(iter(shapes))
+        assert starts.tolist() == [[s.start for s in r] for r in regions]
 
 
 class TestByteIdentityThreads:

@@ -253,6 +253,46 @@ class TestGarbageCollection:
         assert f.ages() == [1]
 
 
+def _check_concurrent_batches(f: Field, commit: str) -> None:
+    """Four threads commit disjoint lattice-aligned batches of 2-element
+    regions under a tiny switch interval; every element must land once."""
+    import sys
+    import threading
+
+    errors = []
+
+    def writer(t):
+        try:
+            for k in range(200):
+                base = (k * 4 + t) * 8
+                regions = [slice(base + j, base + j + 2)
+                           for j in range(0, 8, 2)]
+                values = [[r.start, r.start + 1] for r in regions]
+                if commit == "store_block":
+                    starts = np.array([[r.start] for r in regions])
+                    f.store_block(0, starts, (2,), values)
+                else:
+                    f.store_many(0, regions, values)
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(t,))
+                   for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert f.written_count(0) == 6400
+    assert f.fetch(0).tolist() == list(range(6400))
+
+
 class TestStoreMany:
     def test_commits_every_region(self):
         f = make(shape=(6,))
@@ -308,38 +348,7 @@ class TestStoreMany:
     def test_concurrent_batches_on_a_growable_field(self):
         """Threads committing disjoint batches while their stores keep
         growing the field lose no element and raise nothing."""
-        import sys
-        import threading
-
-        f = make(dtype="int64")
-        errors = []
-
-        def writer(t):
-            try:
-                for k in range(200):
-                    base = (k * 4 + t) * 8
-                    regions = [slice(base + j, base + j + 2)
-                               for j in range(0, 8, 2)]
-                    f.store_many(0, regions,
-                                 [[r.start, r.start + 1] for r in regions])
-            except Exception as exc:  # noqa: BLE001 - asserted below
-                errors.append(exc)
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=writer, args=(t,))
-                       for t in range(4)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(30)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(th.is_alive() for th in threads)
-        assert errors == []
-        assert f.written_count(0) == 6400
-        assert f.fetch(0).tolist() == list(range(6400))
+        _check_concurrent_batches(make(dtype="int64"), "store_many")
 
     def test_metadata_commit(self):
         """``values=None`` is the processes backend's parent-side commit
@@ -368,6 +377,17 @@ class TestStoreMany:
         assert (batched._ages[1].written == single._ages[1].written).all()
         assert batched.written_count(1) == single.written_count(1) == 6
         assert batched.elements_written == single.elements_written
+
+
+class TestBlockCommit:
+    @pytest.mark.parametrize("shape", [None, (6400,)])
+    def test_concurrent_block_commits(self, shape):
+        """The lattice fast path under contention: on a growable field
+        the scatter runs under the lock while resizes swap the backing
+        array, on a fixed-shape field it runs outside the lock."""
+        _check_concurrent_batches(
+            make(dtype="int64", shape=shape), "store_block"
+        )
 
 
 class TestLocalField:

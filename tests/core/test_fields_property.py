@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import FieldDef, WriteOnceViolation
-from repro.core.fields import Field
+from repro.core.fields import Field, lattice_disjoint
 
 
 def segments(draw, total: int):
@@ -108,3 +108,164 @@ class TestWriteOnceProperties:
             f.store(age_b, 0, 222)
             assert f.fetch(age_b, 0).item() == 222
         assert f.fetch(age_a, 0).item() == 111
+
+
+# ----------------------------------------------------------------------
+# Block read / block commit against the per-region reference
+# ----------------------------------------------------------------------
+def _regions(starts, shape):
+    return [
+        tuple(slice(a, a + w) for a, w in zip(row, shape)) for row in starts
+    ]
+
+
+def _state(f: Field):
+    """Everything a commit can change: extent, counters, and per age the
+    payload bytes, the written mask and the store count."""
+    return (
+        f.extent,
+        f.elements_written,
+        f.max_stored_age,
+        {
+            age: (s.data.shape, s.data.tobytes(), s.written.tobytes(),
+                  s.store_count, s.collected)
+            for age, s in f._ages.items()
+        },
+    )
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except Exception as exc:  # noqa: BLE001 - the class is compared
+        return "raised", type(exc)
+
+
+@st.composite
+def block_cases(draw):
+    """A field (fixed or growable, 1-d or 2-d), some earlier commits, and
+    a batch of same-shape regions that is lattice-aligned, misaligned or
+    overlapping — the three regimes of ``Field.store_block``."""
+    ndim = draw(st.integers(1, 2))
+    shape = tuple(draw(st.integers(1, 3)) for _ in range(ndim))
+    cells = tuple(draw(st.integers(1, 4)) for _ in range(ndim))
+    extent = tuple(w * c for w, c in zip(shape, cells))
+    fixed = draw(st.booleans())
+    kind = draw(st.sampled_from(["lattice", "misaligned", "overlap"]))
+    lattice = [
+        tuple(c * w for c, w in zip(cell, shape))
+        for cell in np.ndindex(*cells)
+    ]
+    if kind == "misaligned":
+        # Anywhere up to one block past the extent: out-of-extent
+        # regions must fail alike on fixed fields and grow growable ones.
+        starts = draw(st.lists(
+            st.tuples(*(st.integers(0, n) for n in extent)),
+            min_size=1, max_size=6,
+        ))
+    else:
+        starts = draw(st.lists(
+            st.sampled_from(lattice), min_size=1, max_size=len(lattice),
+            unique=True,
+        ))
+        if kind == "overlap":
+            starts.insert(
+                draw(st.integers(0, len(starts))),
+                draw(st.sampled_from(starts)),
+            )
+    earlier = draw(st.lists(
+        st.tuples(*(st.integers(0, n - 1) for n in extent)),
+        max_size=2,
+    ))
+    return ndim, shape, extent, fixed, np.array(starts), earlier
+
+
+def _block_field(ndim, extent, fixed, earlier):
+    f = Field(FieldDef("f", "int64", ndim, shape=extent if fixed else None))
+    if not fixed:
+        f.store(1, tuple(slice(0, n) for n in extent),
+                np.zeros(extent, dtype=np.int64))
+    for point in earlier:
+        try:
+            f.store(0, point, -1)
+        except WriteOnceViolation:
+            pass
+    return f
+
+
+class TestBlockAccessProperties:
+    @given(block_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_block_commit_matches_store_many(self, case):
+        """``store_block`` leaves the same bytes, masks and counts as the
+        per-region ``store_many``, or raises the same error class — for
+        in-batch overlaps, overlaps with an earlier commit (before any
+        payload is written) and out-of-extent regions alike."""
+        ndim, shape, extent, fixed, starts, earlier = case
+        values = np.arange(len(starts) * int(np.prod(shape))).reshape(
+            (len(starts),) + shape
+        )
+        block = _block_field(ndim, extent, fixed, earlier)
+        ref = _block_field(ndim, extent, fixed, earlier)
+        before = _state(block)
+        got = _outcome(lambda: block.store_block(0, starts, shape, values))
+        want = _outcome(
+            lambda: ref.store_many(0, _regions(starts, shape), list(values))
+        )
+        assert got == want
+        assert _state(block) == _state(ref)
+        if got[0] == "raised" and earlier and got[1] is WriteOnceViolation:
+            overlap_in_batch = len({tuple(r) for r in starts}) < len(starts)
+            if not overlap_in_batch and fixed:
+                # Raised by the pre-check: no payload byte changed.
+                assert _state(block)[3][0][1] == before[3][0][1]
+
+    @given(block_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_metadata_commit_matches_store_many(self, case):
+        """The metadata-only commit agrees with ``store_many`` too.  On a
+        write-once failure ``store_many`` keeps the regions it committed
+        before the offending one; a lattice block commits all or
+        nothing."""
+        ndim, shape, extent, fixed, starts, earlier = case
+        block = _block_field(ndim, extent, fixed, earlier)
+        ref = _block_field(ndim, extent, fixed, earlier)
+        before = _state(block)
+        got = _outcome(lambda: block.store_block(0, starts, shape))
+        want = _outcome(lambda: ref.store_many(0, _regions(starts, shape)))
+        assert got == want
+        if got[0] == "raised" and lattice_disjoint(starts, shape):
+            assert _state(block) == before
+        else:
+            assert _state(block) == _state(ref)
+
+    @given(block_cases(), st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_block_read_matches_fetch(self, case, complete, collected):
+        """``fetch_block`` returns the stacked per-region ``fetch`` copies,
+        or raises the same error class: incomplete and out-of-extent
+        reads raise ``ExtentError``, a collected age
+        ``CollectedAgeError``."""
+        ndim, shape, extent, fixed, starts, earlier = case
+        f = _block_field(ndim, extent, fixed, earlier)
+        if complete:
+            cover = _outcome(lambda: f.store_many(
+                0, [tuple(slice(0, n) for n in extent)],
+                [np.arange(int(np.prod(extent))).reshape(extent)],
+            ))
+            if cover[0] == "raised":  # an earlier point is in the way
+                f = _block_field(ndim, extent, fixed, [])
+                f.store(0, tuple(slice(0, n) for n in extent),
+                        np.arange(int(np.prod(extent))).reshape(extent))
+        if collected:
+            f.collect_age(0)
+        got = _outcome(lambda: f.fetch_block(0, starts, shape))
+        want = _outcome(lambda: np.stack(
+            [f.fetch(0, r) for r in _regions(starts, shape)]
+        ))
+        if got[0] == "ok" and want[0] == "ok":
+            assert got[1].shape == want[1].shape
+            assert got[1].tobytes() == want[1].tobytes()
+        else:
+            assert got[0] == want[0] == "raised"
+            assert got[1] is want[1]

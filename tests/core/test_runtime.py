@@ -381,6 +381,63 @@ class TestWindDown:
         counter.dec()
         assert counter.value() == 0
 
+    @pytest.mark.parametrize("ending", ["shutdown", "error", "done-error"])
+    def test_done_runs_buffered_by_the_analyzer_are_retired(self, ending):
+        """A run of consecutive done events is analyzed as one unit and
+        retires its units with one counter update.  A done run buffered
+        behind a shutdown or a failing event, or one whose own analysis
+        fails part-way, must still leave the counter balanced."""
+        from repro.core.events import (
+            InstanceDoneEvent,
+            ShutdownEvent,
+            StoreEvent,
+        )
+        from repro.core.kernels import KernelInstance
+
+        def source(ctx):
+            ctx.emit("f", np.arange(4))
+
+        src = KernelDef("src", source,
+                        stores=(StoreSpec("f", AgeExpr.const(0), key="f"),))
+        program = Program.build(
+            [FieldDef("f", "int64", 1, shape=(4,))], [src],
+        )
+        counter = WorkCounter()
+        node = ExecutionNode(program, 1, counter=counter)
+        entered, gate = threading.Event(), threading.Event()
+        on_store, on_done = node.analyzer.on_store, node.analyzer.on_done
+        seen = []
+
+        def gated(*run):
+            entered.set()
+            assert gate.wait(5)
+            return on_store(*run)
+
+        def failing_done(ev):
+            seen.append(ev)
+            if ending == "done-error" and len(seen) == 3:
+                raise RuntimeError("analysis failed mid-run")
+            return on_done(ev)
+
+        node.analyzer.on_store = gated
+        node.analyzer.on_done = failing_done
+        counter.inc()  # startup token, as the cluster layer holds it
+        node.start()
+        assert entered.wait(5)  # the analyzer holds src's store event
+        done = [InstanceDoneEvent(KernelInstance(src), True)] * 3
+        if ending == "error":
+            node.inject(StoreEvent("missing", 0, (slice(0, 1),)))
+        node._post_many(done)
+        node._events.put(ShutdownEvent())
+        # A late worker's done run queued behind the shutdown marker.
+        node._post_many(done)
+        gate.set()  # the next wake-up buffers all of the above at once
+        node.wind_down()
+        assert node._events.qsize() == 0
+        assert (node._error is not None) == (ending != "shutdown")
+        counter.dec()
+        assert counter.value() == 0
+
     def test_inject_after_wind_down_is_ignored(self):
         from repro.core import StoreEvent
 

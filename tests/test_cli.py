@@ -111,6 +111,27 @@ class TestMJPEGCommand:
         assert rc == 0
         assert len(split_frames(out_path.read_bytes())) == 3
 
+    @pytest.mark.parametrize("deadline", [None, "5000"])
+    def test_live_report_names_a_missing_deadline(
+        self, tmp_path, capsys, deadline
+    ):
+        """Without a deadline there is nothing to miss: the report says
+        so instead of printing a reassuring "deadline misses 0"."""
+        argv = [
+            "mjpeg", str(tmp_path / "live.mjpeg"), "--live", "--fps", "0",
+            "--width", "32", "--height", "32", "--frames", "2",
+        ]
+        if deadline is not None:
+            argv += ["--deadline-ms", deadline]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if deadline is None:
+            assert "no deadline set" in out
+            assert "deadline misses" not in out
+        else:
+            assert "deadline misses 0" in out
+            assert "no deadline set" not in out
+
 
 class TestKMeansCommand:
     def test_prints_centroids(self, capsys):
