@@ -6,10 +6,10 @@ variables that can be processed as a result of the store statement, and
 puts these in a per-kernel ready queue."
 
 The analyzer is deliberately single-threaded (the prototype runs it in a
-dedicated thread); all of its mutable state — the dispatched-instance
-set, per-kernel pending ages, dispatch counters — is touched only from
-that thread, so it needs no locks of its own.  Field completeness checks
-go through the fields' own locks.
+dedicated thread); all of its mutable state — the per-(kernel, age)
+dispatch records, per-kernel pending ages — is touched only from that
+thread, so it needs no locks of its own.  Field completeness checks go
+through the fields' own locks.
 
 Algorithm sketch
 ----------------
@@ -20,24 +20,33 @@ For every store event on field ``F`` at age ``α`` covering region ``R``:
    it references the age variable, or rechecking every *pending* age when
    it is a literal match (a literal-age fetch alone cannot bound the age
    domain; program validation guarantees a variable-age fetch exists).
-2. For each candidate age, enumerate candidate index combinations —
+2. For each candidate age, bound the candidate index combinations —
    variables bound by ``f`` are restricted to the block range overlapping
-   ``R``; other variables range over the full instance count implied by
-   current field extents.
+   ``R`` (:meth:`Dim.candidate_ranges`); other variables range over the
+   full instance count implied by current field extents.  A fetch with
+   no variables (whole field) makes the whole domain a candidate.
 3. A combination is dispatched when it has never been dispatched before
-   (write-once ⇒ dispatch-once) and *every* fetch of ``K`` is complete
-   for the resolved age/region.
+   (write-once ⇒ dispatch-once, kept as a boolean array over the index
+   domain per (kernel, age)) and *every* fetch of ``K`` is complete for
+   the resolved age/region.
 
 The runtime hands a run of consecutive store events on one (field, age)
-to :meth:`DependencyAnalyzer.on_store` as one call: step 1 and the
-whole-field part of step 3 run once per run, step 2 once per stored
-region.  Stores are announced only after they commit, so a fetch lying
-inside the stored region that produced its candidate is answered by one
-probe of that region rather than a probe of its own.
+to :meth:`DependencyAnalyzer.on_store` as one call, and each step is
+array work over the whole run: step 1 once per run, steps 2–3 once per
+(kernel, age) the run can affect, over the union of the boxes every
+stored region implies through every fetch of ``K`` on ``F``.  Step 3
+resolves the region fetches of all candidates with :meth:`Dim.regions`
+and checks them with one :meth:`Field.is_complete_block` gather per
+fetch and distinct region shape; only the ready rows become
+:class:`KernelInstance` objects.  Stores are announced only after they
+commit, so the gather sees every region the run announces.  A fully
+dispatched (kernel, age) drops its array, keeps only its domain shape,
+and returns before any mask read.
 
 Pending ages are pruned once every combination at current extents has
 been dispatched; any event that could make new combinations runnable
-(a store or resize) re-adds the age, so pruning never loses instances.
+(a store, or a resize that widens an age's index domain) re-adds the
+age, so pruning never loses instances.
 
 Online re-binding (epochs)
 --------------------------
@@ -57,13 +66,16 @@ the run's observable output — are unchanged by a swap.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import SchedulerError
 from .events import InstanceDoneEvent, ResizeEvent, StoreEvent
-from .fields import Field, FieldStore
+from .fields import FieldStore, block_index
 from .kernels import FetchSpec, KernelDef, KernelInstance, StoreSpec
 from .program import Program
 from .scheduler import FusionDecision, decision_kernels
@@ -112,38 +124,82 @@ class _VersionView:
                 self.producers.setdefault(s.field, []).append((k, s))
 
 
-class _StoredRegion:
-    """A region a store event committed, probed at most once.
+class _Dispatched:
+    """Dispatch-once record of one (kernel, age): a boolean array over
+    the kernel's index domain marking the combinations dispatched.
 
-    A :class:`StoreEvent` is posted only after its region has committed,
-    and write-once makes a committed region immutable, so one
-    completeness probe of the stored region answers every candidate
-    fetch that lies inside it.  The probe is still made, not assumed
-    true: the age may have been garbage-collected since the store.
+    Once every combination of ``shape`` has been dispatched the array is
+    dropped and only the shape kept, so a fully dispatched age costs a
+    tuple, not a bit per instance.  If a growable field later widens the
+    domain, :meth:`fit` rebuilds the array with the cells inside the old
+    shape marked.
     """
 
-    __slots__ = ("field", "age", "region", "_complete")
+    __slots__ = ("shape", "mask", "count")
 
-    def __init__(self, field: Field, ev: StoreEvent) -> None:
-        self.field = field
-        self.age = ev.age
-        self.region = ev.region
-        self._complete: bool | None = None
+    def __init__(self, shape: tuple[int, ...], flat: np.ndarray) -> None:
+        self.shape = shape
+        self.mask: np.ndarray | None = np.zeros(shape, dtype=bool)
+        self.count = 0
+        self.mark(flat)
 
-    def covers(self, field: Field, age, region: tuple) -> bool:
-        """Whether ``field[age][region]`` lies inside this region."""
-        if field is not self.field or age != self.age:
-            return False
-        return all(
-            s.start <= r.start and r.stop <= s.stop
-            for r, s in zip(region, self.region)
-        )
+    @property
+    def done(self) -> bool:
+        """Whether every combination of :attr:`shape` is dispatched."""
+        return self.mask is None
 
-    def complete(self) -> bool:
-        """Completeness of the stored region (probed once)."""
-        if self._complete is None:
-            self._complete = self.field.is_complete(self.age, self.region)
-        return self._complete
+    def fit(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The flat dispatched array over ``shape`` (domains only grow)."""
+        if shape != self.shape:
+            grown = np.zeros(shape, dtype=bool)
+            grown[tuple(slice(0, n) for n in self.shape)] = (
+                True if self.mask is None else self.mask
+            )
+            self.shape, self.mask = shape, grown
+        assert self.mask is not None
+        return self.mask.reshape(-1)
+
+    def mark(self, flat: np.ndarray) -> None:
+        """Record the combinations at flat indices ``flat`` dispatched."""
+        assert self.mask is not None
+        self.count += len(flat)
+        if self.count == self.mask.size:
+            self.mask = None
+        else:
+            self.mask.reshape(-1)[flat] = True
+
+
+def _by_width(widths: np.ndarray) -> list[tuple[Any, tuple[int, ...]]]:
+    """Group the rows of an ``(N, k)`` width array by value: a list of
+    ``(selector, width)`` pairs, one per distinct row."""
+    if (widths == widths[0]).all():
+        return [(slice(None), tuple(widths[0].tolist()))]
+    kinds, which = np.unique(widths, axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    return [(which == g, tuple(w.tolist())) for g, w in enumerate(kinds)]
+
+
+def _expand(
+    lo: np.ndarray, hi: np.ndarray, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Sorted, deduplicated flat indices of every combination inside
+    one of the boxes ``[lo[t], hi[t])`` (``(T, n_vars)`` arrays), clipped
+    to the domain ``shape``: the boxes are same-width blocks of an array
+    of that shape, so each width's boxes expand with one
+    :func:`block_index`."""
+    dom = np.asarray(shape, dtype=np.int64)
+    lo = np.minimum(lo, dom)
+    width = np.minimum(hi, dom) - lo
+    keep = (width > 0).all(axis=1)
+    if not keep.all():
+        lo, width = lo[keep], width[keep]
+        if not len(lo):
+            return np.zeros(0, dtype=np.int64)
+    flat = np.concatenate([
+        block_index(lo[sel], w, shape).reshape(-1)
+        for sel, w in _by_width(width)
+    ])
+    return np.unique(flat) if len(lo) > 1 else flat
 
 
 class DependencyAnalyzer:
@@ -164,13 +220,12 @@ class DependencyAnalyzer:
         #: node's backends and recovery logic read the handle; the
         #: analyzer is duck-typed against it to avoid an import cycle).
         self._handle = handle
-        self._dispatched: set = set()
+        #: (kernel, age) -> which of its combinations are dispatched
+        self._disp: dict[tuple[str, int | None], _Dispatched] = {}
         #: kernel name -> candidate ages not yet fully dispatched
         self._pending: dict[str, set[int]] = {
             k: set() for k in program.kernels
         }
-        #: (kernel, age) -> number of instances dispatched
-        self._count: dict[tuple[str, int | None], int] = {}
         #: kernel name -> highest age ever dispatched (swap-epoch floor)
         self._max_disp: dict[str, int] = {}
         #: Full-program mirror for distributed runs: ``producers`` names
@@ -197,9 +252,8 @@ class DependencyAnalyzer:
         self._views: list[_VersionView] = [
             _VersionView(0, program, producer_kernels)
         ]
-        #: instrumentation: store events processed / candidates examined
+        #: instrumentation: store and resize events processed
         self.events_processed = 0
-        self.candidates_examined = 0
 
     # ------------------------------------------------------------------
     def _extent_of(self, field: str) -> tuple[int, ...]:
@@ -218,12 +272,10 @@ class DependencyAnalyzer:
             return False
         return True
 
-    def _domain_combos(self, kernel: KernelDef) -> Iterable[tuple[int, ...]]:
-        if not kernel.index_vars:
-            return [()]
-        counts = dict(kernel.domain or {})
-        ranges = [range(counts.get(v, 1)) for v in kernel.index_vars]
-        return itertools.product(*ranges)
+    def _domain(self, kernel: KernelDef) -> tuple[int, ...]:
+        """The kernel's index domain at current field extents."""
+        counts = kernel.index_counts(self._extent_of)
+        return tuple(counts.get(v, 0) for v in kernel.index_vars)
 
     # ------------------------------------------------------------------
     # Program versions
@@ -359,12 +411,7 @@ class DependencyAnalyzer:
             k = self.kernel_for_age(k.name, age) or k
             if not k.is_source or not self._age_ok(age, k):
                 continue
-            for combo in self._domain_combos(k):
-                inst = KernelInstance(k, age, combo)
-                if inst.key not in self._dispatched:
-                    self._dispatched.add(inst.key)
-                    self._bump(k.name, age)
-                    out.append(inst)
+            out.extend(self._collect(k, age))
         return out
 
     # ------------------------------------------------------------------
@@ -374,20 +421,17 @@ class DependencyAnalyzer:
 
         ``run`` is one store event or a run of store events on the same
         (field, age) — the runtime coalesces consecutive ones.  Age
-        solving, the whole-field pre-check and pruning happen once per
-        run; candidates are enumerated per stored region.  A candidate
-        fetch that lies inside the stored region that produced it is
-        satisfied by that region's single probe (see
-        :class:`_StoredRegion`) instead of a mask probe of its own.  A one-event run is exactly
-        the per-event analysis, and any split of a store sequence into
-        runs dispatches the same instance set.
+        solving and the candidate ranges of every stored region are
+        computed once per run, and each (kernel, age) the run can affect
+        gets one :meth:`_collect` over the union of its candidates.  A
+        one-event run is exactly the per-event analysis, and any split
+        of a store sequence into runs dispatches the same instance set.
         """
         ev = run[0]
         self.events_processed += len(run)
-        out: list[KernelInstance] = []
         base = self._views[0]
-        field = self.fields[ev.field]
-        stored = [_StoredRegion(field, e) for e in run]
+        #: (kernel name, age) -> [kernel, restricting fetches or None]
+        wanted: dict[tuple[str, int | None], list] = {}
         for v in self._views:
             for kernel, fetch in v.fetchers.get(ev.field, ()):
                 ages: list[int | None]
@@ -413,28 +457,52 @@ class DependencyAnalyzer:
                     if v is not base or not fetch.age.matches_literal(ev.age):
                         continue
                     ages = [None]
-                if fetch.vars():
-                    triggers = [
-                        (self._restrict_from_region(fetch, e), r)
-                        for e, r in zip(run, stored)
-                    ]
-                else:
-                    triggers = [(None, None)]
                 for age in ages:
-                    out.extend(self._collect(kernel, age, triggers))
-                    self._maybe_prune(kernel, age)
+                    entry = wanted.setdefault((kernel.name, age), [kernel, []])
+                    if not fetch.vars():
+                        entry[1] = None
+                    elif entry[1] is not None:
+                        entry[1].append(fetch)
+        bounds = None
+        if any(fetches for _kernel, fetches in wanted.values()):
+            bounds = np.array(
+                [[(s.start, s.stop) for s in e.region] for e in run],
+                dtype=np.int64,
+            )
+        extent = self._extent_of(ev.field)
+        out: list[KernelInstance] = []
+        for (_name, age), (kernel, fetches) in wanted.items():
+            boxes = None
+            if fetches is not None:
+                boxes = functools.partial(
+                    self._candidate_boxes, kernel, fetches, bounds, extent
+                )
+            out.extend(self._collect(kernel, age, boxes))
+            self._maybe_prune(kernel, age)
         return out
 
     def on_resize(self, ev: ResizeEvent) -> list[KernelInstance]:
         """A resize may raise instance counts; recheck pending ages of
-        every consumer of the field (and ageless consumers)."""
+        every consumer of the field (and ageless consumers).
+
+        An age pruned at a smaller index domain is pending again: its
+        new combinations may need no store at that age at all (their
+        new regions were stored earlier, lie outside a shrink
+        boundary, or come from a literal-age fetch).
+        """
         self.events_processed += 1
         out: list[KernelInstance] = []
         base = self._views[0]
         for v in self._views:
             for kernel, _fetch in v.fetchers.get(ev.field, ()):
                 if kernel.has_age:
-                    for age in sorted(self._pending[kernel.name]):
+                    pending = self._pending[kernel.name]
+                    shape = self._domain(kernel)
+                    pending.update(
+                        a for (name, a), rec in self._disp.items()
+                        if name == kernel.name and rec.shape != shape
+                    )
+                    for age in sorted(pending):
                         if self._version_for_age(age) is not v:
                             continue
                         out.extend(self._collect(kernel, age))
@@ -457,64 +525,69 @@ class DependencyAnalyzer:
         if cur is None or not self._age_ok(nxt_age, cur):
             return []
         if cur is k:
-            nxt = KernelInstance(k, nxt_age, inst.index)
-            if nxt.key in self._dispatched:
-                return []
-            self._dispatched.add(nxt.key)
-            self._bump(k.name, nxt_age)
-            return [nxt]
+            at = np.array([inst.index], dtype=np.int64).reshape(1, -1)
+            return self._collect(k, nxt_age, lambda: (at, at + 1))
         # The source's definition changed at an epoch ≤ nxt_age; the old
         # instance's index no longer maps onto the new decomposition, so
         # advance the new definition's whole domain (dispatch-once makes
         # this idempotent across the old instances finishing).
         if not (cur.is_source and cur.has_age):
             return []
-        out: list[KernelInstance] = []
-        for combo in self._domain_combos(cur):
-            nxt = KernelInstance(cur, nxt_age, combo)
-            if nxt.key in self._dispatched:
-                continue
-            self._dispatched.add(nxt.key)
-            self._bump(cur.name, nxt_age)
-            out.append(nxt)
-        return out
+        return self._collect(cur, nxt_age)
 
     # ------------------------------------------------------------------
-    def _restrict_from_region(
-        self, fetch: FetchSpec, ev: StoreEvent
-    ) -> dict[str, range] | None:
-        """Candidate index-variable ranges implied by the stored region."""
-        if not fetch.vars():
-            return None
-        extent = self._extent_of(ev.field)
-        restrict: dict[str, range] = {}
-        for dim, region, n in zip(fetch.dims, ev.region, extent):
-            if dim.is_all:
-                continue
-            cand = dim.candidates(region, n)
-            if dim.var in restrict:
-                prev = restrict[dim.var]
-                lo = max(prev.start, cand.start)
-                hi = min(prev.stop, cand.stop)
-                cand = range(lo, max(lo, hi))
-            restrict[dim.var] = cand
-        return restrict
+    def _candidate_boxes(
+        self,
+        kernel: KernelDef,
+        fetches: Sequence[FetchSpec],
+        bounds: np.ndarray,
+        extent: tuple[int, ...],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate index boxes implied by stored regions.
+
+        ``bounds`` holds the ``(start, stop)`` of every dimension of
+        ``T`` stored regions as a ``(T, ndim, 2)`` array.  Returns
+        ``(lo, hi)``, two ``(len(fetches) * T, n_vars)`` arrays: through
+        fetch ``f``, region ``t`` can only have made combinations inside
+        one box ``[lo, hi)`` runnable.  Variables a fetch does not bind
+        are unbounded; dimensions sharing a variable intersect.
+        """
+        n = len(bounds) * len(fetches)
+        nv = len(kernel.index_vars)
+        lo = np.zeros((n, nv), dtype=np.int64)
+        hi = np.full((n, nv), np.iinfo(np.int64).max, dtype=np.int64)
+        for i, fetch in enumerate(fetches):
+            rows = slice(i * len(bounds), (i + 1) * len(bounds))
+            for d, (dim, width) in enumerate(zip(fetch.dims, extent)):
+                if dim.is_all:
+                    continue
+                v = kernel.index_vars.index(dim.var)
+                a, b = dim.candidate_ranges(
+                    bounds[:, d, 0], bounds[:, d, 1], width
+                )
+                np.maximum(lo[rows, v], a, out=lo[rows, v])
+                np.minimum(hi[rows, v], b, out=hi[rows, v])
+        return lo, hi
 
     def _collect(
         self,
         kernel: KernelDef,
         age: int | None,
-        triggers: Sequence[
-            tuple[Mapping[str, range] | None, _StoredRegion | None]
-        ] = ((None, None),),
+        boxes: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None,
     ) -> list[KernelInstance]:
-        """Find every not-yet-dispatched, fully satisfied combination.
+        """Dispatch every not-yet-dispatched, fully satisfied combination.
 
-        ``triggers`` holds ``(restrict, stored)`` pairs: candidate
-        ranges for the restricted index variables (``None``: all
-        combinations) and the stored region that implied them
-        (``None``: every fetch is probed).
+        ``boxes`` returns ``(lo, hi)``, two ``(T, n_vars)`` arrays
+        bounding the candidates in ``T`` boxes (see
+        :meth:`_candidate_boxes`); it is called only once the cheap
+        checks pass.  ``None`` means the whole index domain.  Only the
+        ready rows become :class:`KernelInstance` objects.
         """
+        shape = self._domain(kernel)
+        key = (kernel.name, age)
+        rec = self._disp.get(key)
+        if rec is not None and rec.done and rec.shape == shape:
+            return []
         # Cheap global pre-check: every variable-free fetch (whole-field)
         # must be complete; shared across all index combinations.
         for f in kernel.fetches:
@@ -525,62 +598,87 @@ class DependencyAnalyzer:
                 return []
             if not self._covers_producers(f.field, f_age):
                 return []
-        counts = kernel.index_counts(self._extent_of)
-        full = [range(counts.get(v, 0)) for v in kernel.index_vars]
-        if any(len(r) == 0 for r in full):
+        if 0 in shape:
             return []
-        var_fetches = [
-            (f, f.age.resolve(age), self.fields[f.field])
-            for f in kernel.fetches
-            if f.vars()
+        flat = (
+            np.arange(math.prod(shape)) if boxes is None
+            else _expand(*boxes(), shape)
+        )
+        if rec is not None:
+            dispatched = rec.fit(shape)
+            flat = flat[~dispatched[flat]]
+        if not len(flat):
+            return []
+        rows = np.empty((len(flat), len(shape)), dtype=np.int64)
+        rest = flat
+        for v in range(len(shape) - 1, 0, -1):
+            rest, rows[:, v] = np.divmod(rest, shape[v])
+        if shape:
+            rows[:, 0] = rest
+        if any(f.vars() for f in kernel.fetches):
+            ready = self._satisfied(kernel, age, rows)
+            if not ready.all():
+                flat, rows = flat[ready], rows[ready]
+                if not len(flat):
+                    return []
+        if rec is None:
+            self._disp[key] = _Dispatched(shape, flat)
+        else:
+            rec.mark(flat)
+        if age is not None and age > self._max_disp.get(kernel.name, -1):
+            self._max_disp[kernel.name] = age
+        return [
+            KernelInstance(kernel, age, index)
+            for index in map(tuple, rows.tolist())
         ]
-        out: list[KernelInstance] = []
-        for restrict, stored in triggers:
-            ranges = full
-            if restrict:
-                ranges = [
-                    range(max(0, restrict[v].start),
-                          min(r.stop, restrict[v].stop))
-                    if v in restrict else r
-                    for v, r in zip(kernel.index_vars, full)
-                ]
-            for combo in itertools.product(*ranges):
-                inst = KernelInstance(kernel, age, combo)
-                if inst.key in self._dispatched:
+
+    def _satisfied(
+        self, kernel: KernelDef, age: int | None, rows: np.ndarray
+    ) -> np.ndarray:
+        """Which candidate rows (an ``(M, n_vars)`` index array) have
+        every region fetch complete: per fetch, the regions of all rows
+        come from :meth:`Dim.regions`, and one
+        :meth:`Field.is_complete_block` per distinct region shape checks
+        them.
+
+        A candidate whose region is empty only along shrink-boundary
+        dimensions fetches an absent neighbour: trivially satisfied.  Any
+        other empty region makes the candidate invalid.
+        """
+        ok = np.ones(len(rows), dtype=bool)
+        for f in kernel.fetches:
+            if not f.vars():
+                continue
+            field = self.fields[f.field]
+            starts = np.empty((len(rows), len(f.dims)), dtype=np.int64)
+            widths = np.empty_like(starts)
+            for d, (dim, n) in enumerate(zip(f.dims, field.extent)):
+                if dim.is_all:
+                    starts[:, d], widths[:, d] = 0, n
                     continue
-                self.candidates_examined += 1
-                imap = dict(zip(kernel.index_vars, combo))
-                ok = True
-                for f, f_age, field in var_fetches:
-                    region = f.region(imap, field.extent)
-                    empty_dims = [
-                        d for d, s in enumerate(region) if s.stop <= s.start
-                    ]
-                    if empty_dims:
-                        # A shrink-boundary stencil outside the extent is
-                        # an absent neighbour: trivially satisfied.  Any
-                        # other empty dimension means the combination is
-                        # invalid.
-                        if all(
-                            not f.dims[d].is_all
-                            and f.dims[d].boundary == "shrink"
-                            for d in empty_dims
-                        ):
-                            continue
-                        ok = False
-                        break
-                    if stored is not None and stored.covers(field, f_age,
-                                                            region):
-                        ok = stored.complete()
-                    else:
-                        ok = field.is_complete(f_age, region)
-                    if not ok:
-                        break
-                if ok:
-                    self._dispatched.add(inst.key)
-                    self._bump(kernel.name, age)
-                    out.append(inst)
-        return out
+                lo, hi = dim.regions(
+                    rows[:, kernel.index_vars.index(dim.var)], n
+                )
+                starts[:, d], widths[:, d] = lo, hi - lo
+            check = ok
+            empty = widths <= 0
+            if empty.any():
+                shrink = np.array([
+                    not d.is_all and d.boundary == "shrink" for d in f.dims
+                ])
+                ok &= ~(empty & ~shrink).any(axis=1)
+                check = ok & ~empty.any(axis=1)
+            todo = np.flatnonzero(check)
+            if not len(todo):
+                continue
+            f_age = f.age.resolve(age)
+            for sel, shape in _by_width(widths[todo]):
+                group = todo[sel]
+                complete = field.is_complete_block(
+                    f_age, starts[group], shape
+                )
+                ok[group[~complete]] = False
+        return ok
 
     def _covers_producers(self, field: str, f_age: int | None) -> bool:
         """Whether the field's current extent reaches every producer's
@@ -594,12 +692,14 @@ class DependencyAnalyzer:
         instances freezes the extent small for the whole detection
         window and would fire the consumer on a fragment.
 
-        Only plain unit-block, zero-offset var dims constrain the extent
-        — blocked or stencil dims and whole-array emits size the field by
-        payload, and a conditional var-dim store (none exist in the
-        bundled workloads; the skip-the-emit idiom is how whole-array
-        sources signal EOF) would be indistinguishable from one still
-        outstanding.
+        Var dims constrain the extent: the producer's last instance along
+        a dim of block ``b`` stores at ``(count - 1) * b``, so the field
+        reaches at least one element past that (a coarsened producer's
+        remainder block included).  Whole-array emits size the field by
+        payload and constrain nothing, and a conditional var-dim store
+        (none exist in the bundled workloads; the skip-the-emit idiom is
+        how whole-array sources signal EOF) would be indistinguishable
+        from one still outstanding.
 
         Versioned: each producer age is checked against the program
         version that owns it, so a producer coarsened at a swap epoch is
@@ -627,19 +727,15 @@ class DependencyAnalyzer:
                         continue
                 counts: dict[str, int] | None = None
                 for i, dim in enumerate(spec.dims):
-                    if dim.is_all or dim.block != 1 or dim.offset != 0:
+                    if dim.is_all:
                         continue
                     if counts is None:
                         counts = kernel.index_counts(self._extent_of)
-                    need = counts.get(dim.var, 0)
+                    count = counts.get(dim.var, 0)
+                    need = (count - 1) * dim.block + 1 if count else 0
                     if need and i < len(extent) and extent[i] < need:
                         return False
         return True
-
-    def _bump(self, kernel: str, age: int | None) -> None:
-        self._count[(kernel, age)] = self._count.get((kernel, age), 0) + 1
-        if age is not None and age > self._max_disp.get(kernel, -1):
-            self._max_disp[kernel] = age
 
     def _maybe_prune(self, kernel: KernelDef, age: int | None) -> None:
         """Drop a pending age once every combination at current extents
@@ -647,19 +743,18 @@ class DependencyAnalyzer:
         resize events, which re-add the age)."""
         if age is None or age not in self._pending[kernel.name]:
             return
-        counts = kernel.index_counts(self._extent_of)
-        total = 1
-        for v in kernel.index_vars:
-            total *= counts.get(v, 0)
-        if total and self._count.get((kernel.name, age), 0) >= total:
+        rec = self._disp.get((kernel.name, age))
+        if rec is not None and rec.done and rec.shape == self._domain(kernel):
             self._pending[kernel.name].discard(age)
 
     # ------------------------------------------------------------------
     def dispatched_count(self, kernel: str | None = None) -> int:
         """Total instances dispatched (optionally for one kernel)."""
-        if kernel is None:
-            return len(self._dispatched)
-        return sum(c for (k, _a), c in self._count.items() if k == kernel)
+        return sum(
+            rec.count
+            for (name, _age), rec in self._disp.items()
+            if kernel is None or name == kernel
+        )
 
     def min_pending_age(self, kernels=None) -> int | None:
         """Lowest age any kernel still has pending (GC lower bound).

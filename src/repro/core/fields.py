@@ -742,10 +742,9 @@ class Field:
                     f"{block_regions(starts[i:i + 1], shape)[0]} exceeds "
                     f"extent {extent}"
                 )
-            if slot is not None and slot.data.shape != extent:
-                slot.grow(extent)
-            flat = block_index(starts, shape, extent)
-            done = None if slot is None else np.take(slot.written, flat)
+            flat = done = None
+            if slot is not None:
+                flat, done = self._gather_written(slot, starts, shape)
             if done is None or not done.all():
                 i = 0 if done is None else int(np.flatnonzero(
                     ~done.reshape(len(done), -1).all(axis=1)
@@ -757,6 +756,55 @@ class Field:
                 )
             data = slot.data
         return np.take(data, flat)
+
+    def _gather_written(
+        self, slot: _AgeSlot, starts: np.ndarray, shape: tuple[int, ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The flat element indices of N same-shape regions inside the
+        current extent and their gathered ``(N, *shape)`` written mask
+        (lock held)."""
+        if slot.data.shape != self._extent:
+            slot.grow(self._extent)
+        flat = block_index(starts, shape, self._extent)
+        return flat, np.take(slot.written, flat)
+
+    def is_complete_block(
+        self, age: int, starts: np.ndarray, shape: tuple[int, ...]
+    ) -> np.ndarray:
+        """:meth:`is_complete` for N same-shape regions of ``self[age]``
+        at once: element ``i`` of the returned boolean array says whether
+        the region starting at ``starts[i]`` is completely written.
+
+        Shares :meth:`fetch_block`'s gathered-mask check (one lock, one
+        gather).  A region that is empty, starts below 0 or reaches past
+        the extent is never complete, nor is any region of a collected
+        or untouched age, a negative age, or a non-zero age of a
+        non-aging field.
+        """
+        starts = np.asarray(starts, dtype=np.int64)
+        shape = tuple(int(w) for w in shape)
+        out = np.zeros(len(starts), dtype=bool)
+        if (
+            not len(starts)
+            or age < 0
+            or (not self.fdef.aging and age != 0)
+            or any(w <= 0 for w in shape)
+        ):
+            return out
+        with self._lock:
+            slot = self._ages.get(age)
+            if slot is None or slot.collected:
+                return out
+            inside = (starts >= 0).all(axis=1) & (
+                starts + shape <= np.asarray(self._extent)
+            ).all(axis=1)
+            if not inside.all():
+                starts = starts[inside]
+                if not len(starts):
+                    return out
+            _flat, done = self._gather_written(slot, starts, shape)
+        out[inside] = done.reshape(len(starts), -1).all(axis=1)
+        return out
 
     def peek(self, age: int, index: Any | None = None) -> np.ndarray | None:
         """Like :meth:`fetch` but returns ``None`` for incomplete regions."""

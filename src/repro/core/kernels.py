@@ -230,6 +230,22 @@ class Dim:
         )
         return range(lo, max(lo, hi))
 
+    def candidate_ranges(
+        self, starts: np.ndarray, stops: np.ndarray, extent: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`candidates` for arrays of regions at once: the
+        ``(lo, hi)`` arrays of the value ranges ``[lo[i], hi[i])`` whose
+        regions intersect ``slice(starts[i], stops[i])`` (``hi == lo``
+        when none does)."""
+        starts = np.asarray(starts, dtype=np.int64)
+        stops = np.asarray(stops, dtype=np.int64)
+        if self.is_all:
+            return np.zeros_like(starts), np.ones_like(starts)
+        pad = 0 if self.offset == 0 else abs(self.offset) + self.block
+        lo = np.maximum((starts - pad) // self.block, 0)
+        hi = np.minimum(-(-(stops + pad) // self.block), self.count(extent))
+        return lo, np.maximum(lo, hi)
+
     def __str__(self) -> str:
         if self.is_all:
             return ":"

@@ -1251,7 +1251,7 @@ class ExecutionNode:
         consecutive :class:`StoreEvent`s on the same (field, age) goes
         to :meth:`DependencyAnalyzer.on_store` as ONE call, so the
         per-call work (age solving, whole-field pre-checks, pruning,
-        the stored-region probe) is paid once per run, not per event.
+        the candidate analysis) is paid once per run, not per event.
         A run of consecutive :class:`InstanceDoneEvent`s is analyzed as
         one unit too (see :meth:`_analyze`); every other event is
         analyzed on its own.  A run's events retire their work units

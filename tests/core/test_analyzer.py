@@ -250,6 +250,69 @@ class TestResize:
         )
         assert out2 == []  # nothing new; gap still unwritten
 
+    def test_growth_reopens_a_pruned_age(self):
+        """A fully dispatched age is pruned from the pending set.  When
+        a resize later widens the index domain, the age's new
+        combinations may need no store at that age: here ``x = 1`` of
+        age 1 reads ``b(1)[1]``, stored long ago, and a shrink-boundary
+        neighbour that lies outside the extent.  The resize itself must
+        dispatch it."""
+        k = KernelDef(
+            "k", nop, has_age=True, index_vars=("x",),
+            fetches=(
+                FetchSpec("v", "b", dims=(Dim.of("x"),)),
+                FetchSpec("n", "b", dims=(
+                    Dim.of("x", 2, offset=1, boundary="shrink"),)),
+            ),
+        )
+        prog = Program.build([FieldDef("b")], [k])
+        fields = FieldStore(prog.fields.values())
+        an = DependencyAnalyzer(prog, fields)
+        ev, _ = store_ev(fields, "b", 1, slice(0, 2), [1, 2])
+        assert [i.key for i in an.on_store(ev)] == [("k", 1, (0,))]
+        assert 1 not in an._pending["k"]
+        ev, resize = store_ev(fields, "b", 2, slice(0, 3), [1, 2, 3])
+        out = an.on_resize(
+            ResizeEvent("b", resize.old_extent, resize.new_extent)
+        )
+        assert [i.key for i in out] == [("k", 1, (1,))]
+
+    def test_literal_fetch_growth_reaches_a_pruned_age(self):
+        """The domain of ``x`` grows through a literal-age fetch of a
+        growable field.  The store that grows it fills only ``c[3]``;
+        ``x = 2`` becomes runnable with the later store of ``c[2]``,
+        which names no age, so the pruned age must be pending again."""
+        k = KernelDef(
+            "k", nop, has_age=True, index_vars=("x",),
+            fetches=(
+                FetchSpec("a", "a", dims=(Dim.of("x"),)),
+                FetchSpec("c", "c", age=AgeExpr.const(0),
+                          dims=(Dim.of("x"),)),
+            ),
+        )
+        prog = Program.build(
+            [FieldDef("a", shape=(4,)), FieldDef("c", aging=False)], [k]
+        )
+        fields = FieldStore(prog.fields.values())
+        an = DependencyAnalyzer(prog, fields)
+        ev, _ = store_ev(fields, "a", 0, slice(0, 4), [0, 1, 2, 3])
+        assert an.on_store(ev) == []
+        ev, resize = store_ev(fields, "c", 0, slice(0, 2), [0, 1])
+        out = an.on_resize(
+            ResizeEvent("c", resize.old_extent, resize.new_extent)
+        )
+        assert len(out + an.on_store(ev)) == 2
+        assert 0 not in an._pending["k"]
+        ev, resize = store_ev(fields, "c", 0, 3, 3)
+        out = an.on_resize(
+            ResizeEvent("c", resize.old_extent, resize.new_extent)
+        )
+        out += an.on_store(ev)
+        assert [i.key for i in out] == [("k", 0, (3,))]
+        ev, _ = store_ev(fields, "c", 0, 2, 2)
+        assert [i.key for i in an.on_store(ev)] == [("k", 0, (2,))]
+        assert an.dispatched_count("k") == 4
+
     def test_counters(self):
         prog = simple_program()
         fields = FieldStore(prog.fields.values())
@@ -293,6 +356,35 @@ class TestProducerCoverage:
         for x in range(1, 5):
             out += self.events_for(an, fields, "b", 0, x, 10 + x)
         assert [(i.kernel.name, i.age) for i in out].count(("sink", 0)) == 1
+
+    def test_blocked_producer_domain_is_waited_out(self):
+        """The same guard for a blocked (e.g. coarsened) producer: two
+        ``per4`` instances cover ``b`` in blocks of 4, so the first
+        block alone (extent 4) is not yet the whole of a 5-element
+        ``b``, even though every element of that extent is written."""
+        init = KernelDef(
+            "init", nop, stores=(StoreSpec("a", AgeExpr.const(0)),)
+        )
+        per4 = KernelDef(
+            "per4", nop, has_age=True, index_vars=("x",),
+            fetches=(FetchSpec("v", "a", dims=(Dim.of("x", 4),)),),
+            stores=(StoreSpec("b", dims=(Dim.of("x", 4),)),),
+        )
+        sink = KernelDef(
+            "sink", nop, has_age=True, fetches=(FetchSpec("all", "b"),),
+        )
+        prog = Program.build(
+            [FieldDef("a"), FieldDef("b")], [init, per4, sink]
+        )
+        fields = FieldStore(prog.fields.values())
+        an = DependencyAnalyzer(prog, fields)
+        out = self.events_for(an, fields, "a", 0, slice(0, 5),
+                              [1, 2, 3, 4, 5])
+        assert [i.key for i in out] == [("per4", 0, (0,)), ("per4", 0, (1,))]
+        assert self.events_for(an, fields, "b", 0, slice(0, 4),
+                               [1, 2, 3, 4]) == []
+        out = self.events_for(an, fields, "b", 0, 4, 5)
+        assert [i.key for i in out] == [("sink", 0, ())]
 
     def test_partitioned_analyzer_knows_remote_producers(self):
         """A node hosting only the consumer is told the full program's

@@ -6,6 +6,8 @@ what has been stored — never of the order the store events arrived in
 (dispatch-once under any interleaving).
 """
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +22,7 @@ from repro.core import (
     Program,
     StoreSpec,
 )
-from repro.core.events import StoreEvent
+from repro.core.events import ResizeEvent, StoreEvent
 from repro.core.fields import normalize_index
 
 
@@ -310,7 +312,9 @@ class TestStoreRuns:
 
     def test_whole_plane_store_probes_once(self, monkeypatch):
         """A whole-plane store to MJPEG's ``y_input`` satisfies all
-        1,584 CIF ``ydct`` candidates with one completeness probe."""
+        1,584 CIF ``ydct`` candidates with one gathered mask read: one
+        ``is_complete_block`` call over every candidate region and no
+        ``is_complete`` probe."""
         from repro.core.fields import Field
         from repro.workloads import build_mjpeg
 
@@ -319,15 +323,274 @@ class TestStoreRuns:
         region = tuple(slice(0, n) for n in fields["y_input"].extent)
         fields["y_input"].store(0, region, 0)
         an = DependencyAnalyzer(program, fields)
-        probes = []
-        orig = Field.is_complete
-
-        def counting(self, age, index=None):
-            probes.append((self.name, age))
-            return orig(self, age, index)
-
-        monkeypatch.setattr(Field, "is_complete", counting)
+        probes, gathers = count_mask_reads(monkeypatch)
         ready = an.on_store(StoreEvent("y_input", 0, region))
         assert len(ready) == (288 // 8) * (352 // 8) == 1584
         assert {k.kernel.name for k in ready} == {"ydct"}
-        assert len(probes) <= 1
+        assert probes == []
+        assert gathers == [("y_input", 0, 1584)]
+
+    def test_fully_dispatched_age_costs_nothing(self, monkeypatch):
+        """K-means' shape: ``assign(x)`` fetches one datapoint (literal
+        age 0) and the whole centroid field.  Once every ``assign`` of
+        an age is dispatched, its dispatch record keeps no array, and
+        more store events on its inputs (a recovery replay delivers
+        them twice) read no mask and build no ``KernelInstance``."""
+        import repro.core.analyzer as analyzer_mod
+
+        n, k = 50, 4
+        assign = KernelDef(
+            "assign", nop, has_age=True, index_vars=("x",),
+            fetches=(
+                FetchSpec("point", "datapoints", age=AgeExpr.const(0),
+                          dims=(Dim.of("x"), Dim.all())),
+                FetchSpec("centroids", "centroids"),
+            ),
+        )
+        program = Program.build(
+            [FieldDef("datapoints", "float64", 2, aging=False,
+                      shape=(n, 2)),
+             FieldDef("centroids", "float64", 2, shape=(k, 2))],
+            [assign],
+        )
+        fields = FieldStore(program.fields.values())
+        an = DependencyAnalyzer(program, fields)
+        points = (slice(0, n), slice(0, 2))
+        fields["datapoints"].store(0, points, np.zeros((n, 2)))
+        assert an.on_store(StoreEvent("datapoints", 0, points)) == []
+        events = []
+        for c in range(k):
+            row = (slice(c, c + 1), slice(0, 2))
+            fields["centroids"].store(0, row, np.zeros((1, 2)))
+            events.append(StoreEvent("centroids", 0, row))
+            assert len(an.on_store(events[-1])) == (n if c == k - 1 else 0)
+        assert an._disp[("assign", 0)].mask is None
+        assert an.dispatched_count() == n
+
+        probes, gathers = count_mask_reads(monkeypatch)
+        built = []
+
+        class CountingInstance(analyzer_mod.KernelInstance):
+            def __init__(self, *args, **kw):
+                built.append(args)
+                super().__init__(*args, **kw)
+
+        monkeypatch.setattr(analyzer_mod, "KernelInstance", CountingInstance)
+        assert an.on_store(*events) == []
+        assert an.on_store(events[-1]) == []
+        assert an.on_store(StoreEvent("datapoints", 0, points)) == []
+        assert (probes, gathers, built) == ([], [], [])
+        assert an.dispatched_count() == n
+
+
+def count_mask_reads(monkeypatch):
+    """Patch ``Field.is_complete`` and ``Field.is_complete_block`` to
+    record each call: ``(field, age)`` and ``(field, age, regions)``."""
+    from repro.core.fields import Field
+
+    probes, gathers = [], []
+    probe, gather = Field.is_complete, Field.is_complete_block
+
+    def counting_probe(self, age, index=None):
+        probes.append((self.name, age))
+        return probe(self, age, index)
+
+    def counting_gather(self, age, starts, shape):
+        gathers.append((self.name, age, len(starts)))
+        return gather(self, age, starts, shape)
+
+    monkeypatch.setattr(Field, "is_complete", counting_probe)
+    monkeypatch.setattr(Field, "is_complete_block", counting_gather)
+    return probes, gathers
+
+
+# ----------------------------------------------------------------------
+# Oracle: the analyzer against a brute-force reference
+# ----------------------------------------------------------------------
+def reference_ready(program, fields, max_age, top_age):
+    """Every (kernel, age, index) whose fetches are all satisfied now,
+    found the slow way: ``itertools.product`` over each kernel's index
+    domain at current extents and one ``Field.is_complete`` per fetch
+    region.  A region empty only along shrink-boundary dimensions is an
+    absent neighbour (satisfied); any other empty region is invalid."""
+
+    def fetch_ok(f, age, imap):
+        field = fields[f.field]
+        f_age = f.age.resolve(age)
+        if f.whole_field():
+            return field.is_complete(f_age, None)
+        region = f.region(imap, field.extent)
+        empty = [d for d, s in zip(f.dims, region) if s.stop <= s.start]
+        if empty:
+            return all(not d.is_all and d.boundary == "shrink"
+                       for d in empty)
+        return field.is_complete(f_age, region)
+
+    ready = set()
+    for k in program.kernels.values():
+        counts = k.index_counts(lambda name: fields[name].extent)
+        ranges = [range(counts.get(v, 0)) for v in k.index_vars]
+        for age in (range(top_age + 1) if k.has_age else [None]):
+            if age is not None and (
+                (max_age is not None and age > max_age)
+                or (k.age_limit is not None and age > k.age_limit)
+            ):
+                continue
+            for combo in itertools.product(*ranges):
+                imap = dict(zip(k.index_vars, combo))
+                if all(fetch_ok(f, age, imap) for f in k.fetches):
+                    ready.add((k.name, age, combo))
+    return ready
+
+
+@st.composite
+def oracle_kernels(draw):
+    """One to three aged kernels plus an optional ageless one over three
+    fields: ``a`` (aging, 2-D, declared shape), ``b`` (aging, 1-D,
+    growable) and ``c`` (non-aging, 1-D, growable, fetched at literal
+    age 0).
+
+    Each aged kernel's first fetch is a plain one-element fetch at a
+    variable age that binds every index variable, so every instance is
+    reached by a store of its own.  The others are drawn freely:
+    blocked, clamped and shrinking stencils on one or two variables, a
+    second age (``a-1``), literal-age and whole-field fetches.
+    """
+
+    def dim(kvars):
+        return Dim.of(
+            draw(st.sampled_from(kvars)),
+            block=draw(st.integers(1, 3)),
+            offset=draw(st.integers(-2, 2)),
+            boundary=draw(st.sampled_from(["clamp", "shrink"])),
+        )
+
+    def var_age():
+        return AgeExpr.var(draw(st.sampled_from([0, -1])))
+
+    kernels = []
+    for i in range(draw(st.integers(1, 3))):
+        kvars = ("x", "y")[:draw(st.integers(1, 2))]
+        if len(kvars) == 2:
+            dims = tuple(draw(st.permutations([Dim.of("x"), Dim.of("y")])))
+            anchor = FetchSpec("p0", "a", age=var_age(), dims=dims)
+        else:
+            dims = draw(st.sampled_from([
+                ("a", (Dim.of("x"), Dim.all())),
+                ("a", (Dim.all(), Dim.of("x"))),
+                ("b", (Dim.of("x"),)),
+            ]))
+            anchor = FetchSpec("p0", dims[0], age=var_age(), dims=dims[1])
+        fetches = [anchor]
+        for j in range(1, draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["a", "b", "c", "whole"]))
+            if kind == "a":
+                dims = tuple(
+                    dim(kvars) if draw(st.booleans()) else Dim.all()
+                    for _ in range(2)
+                )
+                fetches.append(FetchSpec(f"p{j}", "a", age=var_age(),
+                                         dims=dims))
+            elif kind == "b":
+                fetches.append(FetchSpec(f"p{j}", "b", age=var_age(),
+                                         dims=(dim(kvars),)))
+            elif kind == "c":
+                dims = (dim(kvars),) if draw(st.booleans()) else ()
+                fetches.append(FetchSpec(f"p{j}", "c",
+                                         age=AgeExpr.const(0), dims=dims))
+            else:
+                fetches.append(FetchSpec(
+                    f"p{j}", draw(st.sampled_from(["a", "b"])),
+                    age=var_age(),
+                ))
+        kernels.append(KernelDef(
+            f"k{i}", nop, has_age=True, index_vars=kvars,
+            fetches=tuple(fetches),
+            age_limit=draw(st.none() | st.integers(0, 2)),
+        ))
+    if draw(st.booleans()):
+        kernels.append(KernelDef(
+            "ageless", nop, index_vars=("x",),
+            fetches=(FetchSpec("p0", "c", age=AgeExpr.const(0),
+                               dims=(dim(("x",)),)),),
+        ))
+    return kernels
+
+
+@st.composite
+def oracle_stores(draw, h, w):
+    """Disjoint stores to ``a``, ``b`` and ``c`` (some pieces left out,
+    so not everything becomes ready), shuffled and split into runs of
+    consecutive same-(field, age) stores."""
+
+    def pieces(n):
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        bounds = [0, *cuts, n]
+        return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+    ops = []
+    for age in range(draw(st.integers(1, 3))):
+        ops += [("a", age, (r, c)) for r in pieces(h) for c in pieces(w)]
+        ops += [("b", age, (s,)) for s in pieces(draw(st.integers(1, 6)))]
+    ops += [("c", 0, (s,)) for s in pieces(draw(st.integers(1, 5)))]
+    keep = draw(st.lists(st.integers(0, 5), min_size=len(ops),
+                         max_size=len(ops)))
+    ops = draw(st.permutations([op for op, k in zip(ops, keep) if k]))
+    merge = draw(st.lists(st.booleans(), min_size=len(ops),
+                          max_size=len(ops)))
+    runs: list[list] = []
+    for op, joined in zip(ops, merge):
+        if runs and joined and op[:2] == runs[-1][-1][:2]:
+            runs[-1].append(op)
+        else:
+            runs.append([op])
+    return runs
+
+
+class TestOracle:
+    """The analyzer dispatches exactly what a brute-force reference
+    finds ready, each instance once, after every store run."""
+
+    @given(oracle_kernels(), st.integers(1, 4), st.integers(1, 4),
+           st.none() | st.integers(0, 2), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_dispatches_what_the_reference_finds_ready(
+        self, kernels, h, w, max_age, data
+    ):
+        program = Program.build(
+            [FieldDef("a", "int64", 2, shape=(h, w)),
+             FieldDef("b", "int64", 1),
+             FieldDef("c", "int64", 1, aging=False)],
+            kernels,
+        )
+        runs = data.draw(oracle_stores(h, w))
+        fields = FieldStore(program.fields.values())
+        an = DependencyAnalyzer(program, fields, max_age=max_age)
+        assert an.initial_instances() == []
+        dispatched: list = []
+        expected: set = set()
+        top_age = 0
+        for run in runs:
+            resizes = []
+            for name, age, region in run:
+                shape = tuple(s.stop - s.start for s in region)
+                resize = fields[name].store(age, region, np.zeros(shape))
+                if resize is not None:
+                    resizes.append(ResizeEvent(
+                        name, resize.old_extent, resize.new_extent
+                    ))
+                top_age = max(top_age, age + 1)
+            for ev in resizes:
+                dispatched += [i.key for i in an.on_resize(ev)]
+            dispatched += [
+                i.key for i in an.on_store(
+                    *(StoreEvent(name, age, region)
+                      for name, age, region in run)
+                )
+            ]
+            expected |= reference_ready(program, fields, max_age, top_age)
+            assert len(set(dispatched)) == len(dispatched), (
+                "double dispatch"
+            )
+            assert set(dispatched) == expected
+        assert an.dispatched_count() == len(dispatched)

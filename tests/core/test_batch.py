@@ -255,6 +255,28 @@ class TestFetchPlan:
         assert starts.tolist() == [r.start for r in want]
         assert stops.tolist() == [r.stop for r in want]
 
+    @given(_dims("x"), st.integers(0, 40), st.lists(
+        st.tuples(st.integers(0, 45), st.integers(0, 12)),
+        min_size=1, max_size=16,
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_dim_candidate_ranges_match_candidates(
+        self, dim, extent, regions
+    ):
+        """The analyzer's candidate ranges for a run of stored regions
+        equal ``Dim.candidates`` per region, for any block, stencil
+        offset, boundary and extent, including empty regions and
+        regions past the extent."""
+        starts = np.array([a for a, _w in regions])
+        stops = starts + np.array([w for _a, w in regions])
+        lo, hi = dim.candidate_ranges(starts, stops, extent)
+        want = [
+            dim.candidates(slice(a, b), extent)
+            for a, b in zip(starts.tolist(), stops.tolist())
+        ]
+        assert lo.tolist() == [r.start for r in want]
+        assert hi.tolist() == [r.stop for r in want]
+
     @given(_dims("x"), _dims("y"), st.integers(1, 20), st.integers(1, 20),
            st.data())
     @settings(max_examples=300, deadline=None)

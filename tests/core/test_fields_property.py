@@ -269,3 +269,44 @@ class TestBlockAccessProperties:
         else:
             assert got[0] == want[0] == "raised"
             assert got[1] is want[1]
+
+    @given(block_cases(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_block_completeness_matches_is_complete(self, case, data):
+        """``is_complete_block`` answers per region as ``is_complete``
+        does, on fixed and growable, aging and non-aging fields: partly
+        written ages, regions past the extent or starting below 0,
+        empty regions, and collected, negative and untouched ages."""
+        ndim, shape, extent, fixed, starts, earlier = case
+        aging = data.draw(st.booleans())
+        if aging:
+            f = _block_field(ndim, extent, fixed, earlier)
+        else:
+            f = Field(FieldDef("f", "int64", ndim, aging=False,
+                               shape=extent))
+        cells = data.draw(st.lists(
+            st.tuples(*(st.integers(0, n - 1) for n in extent)),
+            max_size=12,
+        ))
+        for point in cells:
+            try:
+                f.store(0, point, 1)
+            except WriteOnceViolation:
+                pass
+        if data.draw(st.booleans()):
+            f.collect_age(0)
+        starts = starts - data.draw(st.integers(0, 1))
+        if data.draw(st.integers(0, 5)) == 0:
+            shape = shape[:-1] + (0,)
+        age = data.draw(st.sampled_from([0, 1, 2, -1]))
+        before = _state(f)
+        got = f.is_complete_block(age, starts, shape)
+        assert _state(f) == before  # a query changes nothing
+        want = [
+            f.is_complete(age, tuple(
+                slice(a, a + w) for a, w in zip(row, shape)
+            ))
+            for row in starts.tolist()
+        ]
+        assert got.dtype == bool
+        assert got.tolist() == want

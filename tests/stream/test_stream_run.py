@@ -130,3 +130,29 @@ def test_stream_config_validation():
         StreamConfig(lag_window=0)
     with pytest.raises(ValueError):
         StreamConfig(duration=0)
+
+
+def test_analyzer_keeps_no_per_instance_state_on_a_long_stream():
+    """Dispatch-once bookkeeping does not grow per instance: once a
+    (kernel, age) is fully dispatched its record keeps only the domain
+    shape, and the dispatch count still equals the instances run."""
+    from repro.core import ExecutionNode
+    from repro.stream import StreamDriver
+
+    frames = 120
+    cfg = MJPEGConfig(width=64, height=64, frames=frames)
+    scfg = StreamConfig(fps=0, max_frames=frames, lag_window=8)
+    program, _, binding = build_mjpeg_stream(cfg, scfg)
+    node = ExecutionNode(program, 2, batch=32)
+    driver = StreamDriver(binding, node=node)
+    node.add_teardown_hook(driver.stop)
+    node.start()
+    driver.start()
+    result = node.join(timeout=120)
+    assert driver.report().completed == frames
+    an = node.analyzer
+    records = an._disp.values()
+    assert len(records) == frames * len(program.kernels)
+    assert all(rec.mask is None for rec in records)
+    run = sum(s.instances for s in result.stats.values())
+    assert an.dispatched_count() == run == frames * (64 + 16 + 16 + 1)
